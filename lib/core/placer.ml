@@ -145,7 +145,7 @@ type ctx = {
   c_cache : Score_cache.t;
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
-  c_dist : int array array Lazy.t;
+  c_dist : int array array;
       (* All-pairs BFS distances over the adjacency graph, for the
          swap-displacement lower bound. *)
   c_swap_step : float;
@@ -154,11 +154,13 @@ type ctx = {
          swap gate while moving a token at most one edge, so a token
          displaced by graph distance [d] delays its destination clock by at
          least [d *. c_swap_step]. *)
-  c_hier : Coarsen.t option Lazy.t;
+  c_hier : Coarsen.t option;
       (* Coarsening hierarchy of the adjacency graph for the
          coarsen-place-refine path; [None] when [Options.coarsen] is off,
          the environment is below the hierarchy cutoff, or matching made
-         no progress.  Lazy so classic runs never pay for it. *)
+         no progress.  Both this and [c_dist] are computed when the ctx is
+         built: pool bodies read them, and forcing a shared [Lazy.t] from
+         two domains at once raises. *)
   c_shared : Incumbent.t option;
       (* Cross-strategy incumbent of a portfolio race ({!Portfolio}):
          holds the best *achieved* end-to-end runtime any racing strategy
@@ -332,7 +334,7 @@ let complete_placement ctx ~prev ~subcircuit mapping =
     (* Displaced inactive qubits move to the nearest free vertex. *)
     List.iter
       (fun q ->
-        let dist = (Lazy.force ctx.c_dist).(previous.(q)) in
+        let dist = ctx.c_dist.(previous.(q)) in
         let best = ref (-1) in
         for v = 0 to ctx.c_m - 1 do
           if not taken.(v) then
@@ -453,7 +455,7 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
         bounded && prebound
         && begin
              Timing.stage_start scratch phys_start;
-             let dist = Lazy.force ctx.c_dist in
+             let dist = ctx.c_dist in
              let lifted = ref 0.0 in
              Array.iteri
                (fun src dst ->
@@ -499,7 +501,7 @@ let candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit placement =
     let perm =
       Perm.of_placements ~size:ctx.c_m ~before:previous ~after:placement
     in
-    let dist = Lazy.force ctx.c_dist in
+    let dist = ctx.c_dist in
     Array.iteri
       (fun src dst ->
         if src <> dst then begin
@@ -650,7 +652,7 @@ let fine_tune ctx ~phys_start ~prev ~subcircuit placement =
     Array.iteri (fun q v -> occupant_of.(v) <- q) current
   in
   let local =
-    ctx.c_options.Options.coarsen && Lazy.force ctx.c_hier <> None
+    ctx.c_options.Options.coarsen && ctx.c_hier <> None
   in
   let moves = ref 0 in
   let passes = ctx.c_options.Options.fine_tune_passes in
@@ -729,7 +731,7 @@ let witness_mapping ctx ~subcircuit hint =
    refused), so this path can only ever narrow the search, never lose a
    placeable stage. *)
 let scale_mappings ctx ~prev ~hint ~subcircuit =
-  match Lazy.force ctx.c_hier with
+  match ctx.c_hier with
   | None -> None
   | Some hier ->
     let pattern = Score_cache.interaction_graph ctx.c_cache subcircuit in
@@ -1402,7 +1404,7 @@ let vcycle_refine ctx stage_list =
             let u = p.(j).(q) in
             let pool = Array.to_list (Graph.neighbors ctx.c_adjacency u) in
             let pool =
-              match Lazy.force ctx.c_hier with
+              match ctx.c_hier with
               | Some hier ->
                 List.rev_append
                   (Coarsen.select_region hier ~seeds:[ u ] ~capacity:8)
@@ -1492,9 +1494,9 @@ let finalize_metrics ctx =
   Telemetry.set
     (Telemetry.gauge t "placer.scoring.seconds")
     !(ctx.c_scoring_time);
-  (* Only stamped when the run actually built the hierarchy, so classic
-     runs' snapshots are unchanged. *)
-  (match if Lazy.is_val ctx.c_hier then Lazy.force ctx.c_hier else None with
+  (* Only stamped when the run built the hierarchy, so classic runs'
+     snapshots are unchanged. *)
+  (match ctx.c_hier with
   | Some hier ->
     Telemetry.set
       (Telemetry.gauge t "placer.scale.coarsen_levels")
@@ -1580,8 +1582,7 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
               ~register:m ();
           c_scratch = Timing.make_scratch ();
           c_scoring_time = ref 0.0;
-          c_dist =
-            lazy (Array.init m (fun v -> Paths.bfs_dist adjacency v));
+          c_dist = Array.init m (fun v -> Paths.bfs_dist adjacency v);
           c_swap_step =
             (let weights = Environment.weights env in
              let capped_swap =
@@ -1594,18 +1595,16 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
                  Float.min acc (weights.Timing.coupled u v *. capped_swap))
                infinity (Graph.edges adjacency));
           c_hier =
-            lazy
-              (if options.Options.coarsen && m >= coarsen_min_env then begin
-                 let hier =
-                   Coarsen.build
-                     ~weight:(fun u v ->
-                       1.0
-                       /. Float.max 1e-9 (Environment.coupling_delay env u v))
-                     adjacency
-                 in
-                 if Coarsen.levels hier >= 2 then Some hier else None
-               end
-               else None);
+            (if options.Options.coarsen && m >= coarsen_min_env then begin
+               let hier =
+                 Coarsen.build
+                   ~weight:(fun u v ->
+                     1.0 /. Float.max 1e-9 (Environment.coupling_delay env u v))
+                   adjacency
+               in
+               if Coarsen.levels hier >= 2 then Some hier else None
+             end
+             else None);
         }
       in
       (* Spill mode: stream stages out of the windowed splitter straight

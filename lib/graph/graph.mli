@@ -84,6 +84,10 @@ val pp : Format.formatter -> t -> unit
     {!neighbor_mask}.  All masks over the same vertex count have the same
     length, so the binary operations assume equal lengths. *)
 
+val word_bits : int
+(** Vertices per bitset word: vertex [v] is bit [v mod word_bits] of word
+    [v / word_bits]. *)
+
 val mask_words : int -> int
 (** Words needed for a bitset over [n] vertices. *)
 

@@ -28,14 +28,6 @@ let m_ref_degseq =
 
 let m_enumerations = Telemetry.counter Telemetry.global "monomorph.enumerations"
 
-(* Sort key shared by the ordering heuristics: degree descending, vertex id
-   ascending -- the order a stable sort of an ascending list by degree
-   produces, which is what the enumeration order contract is pinned to. *)
-let by_degree_desc degree a b =
-  match Int.compare (degree b) (degree a) with
-  | 0 -> Int.compare a b
-  | c -> c
-
 (* Insertion sort of [arr.(lo .. hi-1)] by [cmp]; the sorted ranges are tiny
    (bounded by a vertex degree), so this beats allocating slices for
    [Array.sort]. *)
@@ -415,39 +407,67 @@ module Incremental = struct
      per query (sort + dedup + adjacency construction) dominated that loop;
      here the pattern lives as mutable degree counters and adjacency bitsets
      over the qubit indices, and a query is a plain existence search over
-     that structure.  Existence is order-independent, so the search is free
-     to use any sound ordering; answers always match the full enumerator. *)
+     that structure.
+
+     Budgeted refusals depend on which nodes the search visits, so the
+     visit order is part of the contract: steps follow the BFS order of
+     [build_order], and at each step the candidates -- target vertices
+     adjacent to the images of every earlier pattern neighbour, unused, of
+     degree at least the step's pattern degree -- are tried in ascending
+     vertex order, each counting one node.  The search allocates nothing
+     per node: all scratch lives in [t] and the witness is only built on
+     success. *)
 
   type t = {
     qubits : int;
     target : Graph.t;
     nt : int;
-    deg_t : int array;
     max_deg_t : int;
+    deg_mask : int array array;
+        (* [deg_mask.(d)]: target vertices of degree >= d, d <= max_deg_t *)
     pmask : int array array; (* pattern adjacency bitsets, over qubits *)
     pdeg : int array;
     (* per-query scratch, allocated once *)
-    mapping : int array;
-    used : int array;
-    cand : int array array;
-    order : int array;
-    seen : bool array;
+    order : int array; (* BFS order of the active qubits; also the queue *)
+    pos : int array; (* pos.(order.(i)) = i; -1 for unvisited qubits *)
+    nbr_off : int array; (* step s's earlier neighbours: nbr_off.(s) .. *)
+    nbr : int array; (* ... nbr_off.(s+1)-1, as positions in [order] *)
+    img : int array; (* img.(s): target image of order.(s) *)
+    used : int array; (* bitset over target vertices *)
+    cand : int array array; (* per-step candidate mask *)
+    mutable nodes : int;
+    mutable budget : int;
   }
 
   let create ~qubits ~target =
+    let nt = Graph.n target in
+    let deg_t = Graph.degrees target in
+    let max_deg_t = Graph.max_degree target in
+    let deg_mask =
+      Array.init (max_deg_t + 1) (fun d ->
+          let m = Graph.mask_make nt in
+          Array.iteri (fun c dc -> if dc >= d then Graph.mask_set m c) deg_t;
+          m)
+    in
     {
       qubits;
       target;
-      nt = Graph.n target;
-      deg_t = Array.init (Graph.n target) (Graph.degree target);
-      max_deg_t = Graph.max_degree target;
+      nt;
+      max_deg_t;
+      deg_mask;
       pmask = Array.init qubits (fun _ -> Graph.mask_make qubits);
       pdeg = Array.make qubits 0;
-      mapping = Array.make qubits (-1);
-      used = Graph.mask_make (Graph.n target);
-      cand = Array.init (max 1 qubits) (fun _ -> Graph.mask_make (Graph.n target));
-      order = Array.make (max 1 qubits) 0;
-      seen = Array.make qubits false;
+      order = Array.make qubits 0;
+      pos = Array.make qubits 0;
+      nbr_off = Array.make (qubits + 1) 0;
+      (* A feasible pattern has degree <= max_deg_t everywhere, so each step
+         has at most that many earlier neighbours. *)
+      nbr = Array.make (max 1 (qubits * max_deg_t)) 0;
+      img = Array.make qubits 0;
+      used = Graph.mask_make nt;
+      cand = Array.init qubits (fun _ -> Graph.mask_make nt);
+      nodes = 0;
+      budget = 0;
     }
 
   let reset inc =
@@ -474,104 +494,127 @@ module Incremental = struct
 
   let degree inc q = inc.pdeg.(q)
 
-  (* BFS component order from maximum-degree seeds, as in {!ordering};
-     neighbor ties resolve in ascending qubit order (existence does not
-     depend on it). *)
+  (* Quick refutations: an active qubit needs a target vertex of at least
+     its degree; active qubits need distinct target vertices. *)
+  let feasible inc =
+    let active = ref 0 and ok = ref true in
+    for q = 0 to inc.qubits - 1 do
+      let d = inc.pdeg.(q) in
+      if d > 0 then incr active;
+      if d > inc.max_deg_t then ok := false
+    done;
+    !ok && !active <= inc.nt
+
+  (* Component-by-component BFS order from maximum-degree seeds (ties to
+     the smallest qubit), neighbours enqueued in ascending qubit order;
+     [order] doubles as the queue.  Returns the number of active qubits. *)
   let build_order inc =
-    let len = ref 0 in
-    Array.fill inc.seen 0 inc.qubits false;
-    let cmp = by_degree_desc (fun q -> inc.pdeg.(q)) in
     let seeds = ref [] in
     for q = inc.qubits - 1 downto 0 do
       if inc.pdeg.(q) > 0 then seeds := q :: !seeds
     done;
     let seeds = Array.of_list !seeds in
-    Array.sort cmp seeds;
-    let queue = Queue.create () in
+    Array.stable_sort (fun a b -> Int.compare inc.pdeg.(b) inc.pdeg.(a)) seeds;
+    Array.fill inc.pos 0 inc.qubits (-1);
+    let len = ref 0 and head = ref 0 in
+    let visit v =
+      if inc.pos.(v) < 0 then begin
+        inc.pos.(v) <- !len;
+        inc.order.(!len) <- v;
+        incr len
+      end
+    in
     Array.iter
       (fun seed ->
-        if not inc.seen.(seed) then begin
-          inc.seen.(seed) <- true;
-          Queue.add seed queue;
-          while not (Queue.is_empty queue) do
-            let u = Queue.pop queue in
-            inc.order.(!len) <- u;
-            incr len;
-            Graph.iter_mask
-              (fun v ->
-                if not inc.seen.(v) then begin
-                  inc.seen.(v) <- true;
-                  Queue.add v queue
-                end)
-              inc.pmask.(u)
-          done
-        end)
+        visit seed;
+        while !head < !len do
+          let u = inc.order.(!head) in
+          incr head;
+          Graph.iter_mask visit inc.pmask.(u)
+        done)
       seeds;
     !len
+
+  (* Earlier pattern neighbours of every step, as order positions: a
+     neighbour is mapped at step [s] exactly when its position is below
+     [s]. *)
+  let build_neighbours inc len =
+    let k = ref 0 and step = ref 0 in
+    let add u =
+      let p = inc.pos.(u) in
+      if p < !step then begin
+        inc.nbr.(!k) <- p;
+        incr k
+      end
+    in
+    for s = 0 to len - 1 do
+      step := s;
+      inc.nbr_off.(s) <- !k;
+      Graph.iter_mask add inc.pmask.(inc.order.(s))
+    done;
+    inc.nbr_off.(len) <- !k
 
   exception Found
 
   exception Exhausted
 
-  let search ?budget inc =
-    let budget = match budget with None -> max_int | Some b -> b in
-    let order_len = build_order inc in
-    (* Quick refutations: an active qubit needs a target vertex of at least
-       its degree; active qubits need distinct target vertices. *)
-    let feasible = ref (order_len <= inc.nt) in
-    for i = 0 to order_len - 1 do
-      if inc.pdeg.(inc.order.(i)) > inc.max_deg_t then feasible := false
-    done;
-    if not !feasible then None
+  let rec extend inc len step =
+    if step >= len then raise_notrace Found
     else begin
-      Array.fill inc.mapping 0 inc.qubits (-1);
+      let mask = inc.cand.(step) in
+      let used = inc.used in
+      let words = Array.length mask in
+      let dm = inc.deg_mask.(inc.pdeg.(inc.order.(step))) in
+      let lo = inc.nbr_off.(step) and hi = inc.nbr_off.(step + 1) in
+      if lo = hi then
+        (* component seed: every unused vertex of sufficient degree *)
+        for w = 0 to words - 1 do
+          mask.(w) <- dm.(w) land lnot used.(w)
+        done
+      else begin
+        let nm = Graph.neighbor_mask inc.target inc.img.(inc.nbr.(lo)) in
+        for w = 0 to words - 1 do
+          mask.(w) <- nm.(w) land dm.(w) land lnot used.(w)
+        done;
+        for k = lo + 1 to hi - 1 do
+          let nm = Graph.neighbor_mask inc.target inc.img.(inc.nbr.(k)) in
+          for w = 0 to words - 1 do
+            mask.(w) <- mask.(w) land nm.(w)
+          done
+        done
+      end;
+      for w = 0 to words - 1 do
+        let m = ref mask.(w) in
+        while !m <> 0 do
+          let b = !m land (- !m) in
+          m := !m lxor b;
+          inc.nodes <- inc.nodes + 1;
+          if inc.nodes > inc.budget then raise_notrace Exhausted;
+          inc.img.(step) <- (w * Graph.word_bits) + Graph.bit_index b;
+          used.(w) <- used.(w) lor b;
+          extend inc len (step + 1);
+          used.(w) <- used.(w) lxor b
+        done
+      done
+    end
+
+  let search ?(budget = max_int) inc =
+    if not (feasible inc) then None
+    else begin
+      let len = build_order inc in
+      build_neighbours inc len;
       Array.fill inc.used 0 (Array.length inc.used) 0;
-      let witness = ref None in
-      let nodes = ref 0 in
-      let rec extend step =
-        if step >= order_len then begin
-          witness := Some (Array.copy inc.mapping);
-          raise Found
-        end
-        else begin
-          let v = inc.order.(step) in
-          let try_candidate c =
-            incr nodes;
-            if !nodes > budget then raise Exhausted;
-            inc.mapping.(v) <- c;
-            Graph.mask_set inc.used c;
-            extend (step + 1);
-            Graph.mask_clear inc.used c;
-            inc.mapping.(v) <- -1
-          in
-          let deg_ok c = inc.deg_t.(c) >= inc.pdeg.(v) in
-          let mask = inc.cand.(step) in
-          let constrained = ref false in
-          Graph.iter_mask
-            (fun u ->
-              let image = inc.mapping.(u) in
-              if image >= 0 then begin
-                let nm = Graph.neighbor_mask inc.target image in
-                if !constrained then Graph.mask_inter_into ~into:mask nm
-                else begin
-                  Array.blit nm 0 mask 0 (Array.length nm);
-                  constrained := true
-                end
-              end)
-            inc.pmask.(v);
-          if !constrained then begin
-            Graph.mask_diff_into ~into:mask inc.used;
-            Graph.iter_mask (fun c -> if deg_ok c then try_candidate c) mask
-          end
-          else
-            for c = 0 to inc.nt - 1 do
-              if (not (Graph.mask_mem inc.used c)) && deg_ok c then
-                try_candidate c
-            done
-        end
-      in
-      (try extend 0 with Found -> () | Exhausted -> ());
-      !witness
+      inc.nodes <- 0;
+      inc.budget <- budget;
+      match extend inc len 0 with
+      | () -> None
+      | exception Exhausted -> None
+      | exception Found ->
+        let witness = Array.make inc.qubits (-1) in
+        for i = 0 to len - 1 do
+          witness.(inc.order.(i)) <- inc.img.(i)
+        done;
+        Some witness
     end
 
   let embeds_with ?budget inc ((a, b) as pair) =

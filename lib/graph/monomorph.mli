@@ -58,8 +58,10 @@ val check : pattern:Graph.t -> target:Graph.t -> int array -> bool
     current pattern plus that pair still embeds into the target.  This API
     keeps the pattern as mutable adjacency bitsets over the qubit indices so
     a query runs directly on that structure instead of rebuilding a
-    {!Graph.t} per call.  Answers agree with [exists] on the equivalent
-    built graph (existence is search-order independent). *)
+    {!Graph.t} per call.  Unbudgeted answers agree with [exists] on the
+    equivalent built graph (existence is search-order independent).  A
+    query allocates nothing per search node; only a found witness is
+    allocated. *)
 module Incremental : sig
   type t
 
@@ -85,5 +87,16 @@ module Incremental : sig
       [budget] (default unbounded) caps the number of search nodes; an
       exhausted search answers [None], so a bounded query errs toward
       refusal — sound for callers that treat refusal as "close the current
-      subcircuit", never claiming an embedding that does not exist. *)
+      subcircuit", never claiming an embedding that does not exist.
+
+      A node is one candidate image tried for one pattern vertex.  Pattern
+      vertices are taken component by component, each in BFS order from
+      its maximum-degree seed (ties to the smallest qubit, neighbours
+      enqueued in ascending qubit order); a vertex's candidates are the
+      unused target vertices of sufficient degree adjacent to the images of
+      all its already-placed pattern neighbours, tried in ascending vertex
+      order.  Which queries a budget refuses depends on that order, so the
+      order is part of this contract: the witness returned, and every
+      budget-exhausted [None], are fixed by the pattern, the target and
+      the budget. *)
 end

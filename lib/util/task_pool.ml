@@ -11,7 +11,8 @@ type batch = {
   b_workers : int Atomic.t; (* dense participant-id counter *)
   b_max_workers : int; (* = jobs: participants beyond this bail out *)
   b_completed : int Atomic.t; (* slots finished (including faulted) *)
-  b_error : exn option Atomic.t; (* first slot exception, CAS-published *)
+  b_error : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* first slot exception and its backtrace, CAS-published *)
   b_mutex : Mutex.t;
   b_cond : Condition.t;
   mutable b_finished : bool;
@@ -97,9 +98,9 @@ let mark_batch_finished b =
   Mutex.protect b.b_mutex (fun () -> b.b_finished <- true);
   Condition.broadcast b.b_cond
 
-let record_error b exn =
+let record_error b exn bt =
   if Option.is_none (Atomic.get b.b_error) then
-    ignore (Atomic.compare_and_set b.b_error None (Some exn))
+    ignore (Atomic.compare_and_set b.b_error None (Some (exn, bt)))
 
 (* Claim and run slots until the batch's index counter is exhausted.  Every
    claimed slot bumps [b_completed] exactly once, even on exception, so the
@@ -111,7 +112,8 @@ let run_batch b ~worker =
     if i >= b.b_total then continue := false
     else begin
       (if Option.is_none (Atomic.get b.b_error) then
-         try b.b_body ~worker i with exn -> record_error b exn);
+         try b.b_body ~worker i
+         with exn -> record_error b exn (Printexc.get_raw_backtrace ()));
       let done_count = 1 + Atomic.fetch_and_add b.b_completed 1 in
       if done_count = b.b_total then mark_batch_finished b
     end
@@ -252,7 +254,9 @@ let parallel_for pool ~jobs ~body total =
       Obs.incr m_regions;
       Obs.observe m_region_seconds (Unix.gettimeofday () -. published_at)
     end;
-    match Atomic.get b.b_error with Some exn -> raise exn | None -> ()
+    match Atomic.get b.b_error with
+    | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+    | None -> ()
   end
 
 let map_reduce (type a) pool ~jobs ~map ~combine ~(init : a) total =
@@ -284,6 +288,11 @@ let settle_single s =
     Mutex.unlock s.s_mutex
   end
 
+(* Run [f], keeping an exception together with the backtrace of the point
+   it was raised at, for re-raising on the caller's domain. *)
+let capture f =
+  try Ok (f ()) with exn -> Error (exn, Printexc.get_raw_backtrace ())
+
 let both pool ~jobs f g =
   if jobs <= 1 || inside () || pool.closed then
     let a = f () in
@@ -295,7 +304,7 @@ let both pool ~jobs f g =
     let s =
       {
         s_claim = Atomic.make 0;
-        s_run = (fun () -> result := Some (try Ok (g ()) with exn -> Error exn));
+        s_run = (fun () -> result := Some (capture g));
         s_mutex = Mutex.create ();
         s_cond = Condition.create ();
         s_done = false;
@@ -308,13 +317,15 @@ let both pool ~jobs f g =
       (a, b)
     end
     else begin
-      let fv = try Ok (f ()) with exn -> Error exn in
+      let fv = capture f in
       settle_single s;
       Mutex.protect pool.lock (fun () -> remove_item pool (Single s));
       match (fv, !result) with
       | Ok a, Some (Ok b) -> (a, b)
-      | Error exn, _ -> raise exn (* [f]'s exception takes precedence *)
-      | Ok _, Some (Error exn) -> raise exn
+      | Error (exn, bt), _ ->
+        (* [f]'s exception takes precedence *)
+        Printexc.raise_with_backtrace exn bt
+      | Ok _, Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
       | Ok _, None -> assert false
     end
   end

@@ -17,8 +17,10 @@
     a slot array indexed by input position and folds the slots sequentially
     in index order on the caller, so its result is a pure function of the
     input order — independent of how slots interleave across domains.
-    Exceptions raised by a slot are re-raised on the caller; when several
-    slots raise in one batch, which exception propagates is unspecified.
+    Exceptions raised by a slot are re-raised on the caller with the
+    backtrace captured where the slot raised them (empty unless backtrace
+    recording is on); when several slots raise in one batch, which
+    exception propagates is unspecified.
 
     {b Nested-use guard.}  Entering a parallel region from inside a pool
     task would deadlock a fixed-size pool, so every entry point detects

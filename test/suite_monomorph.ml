@@ -146,6 +146,191 @@ module Reference = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Reference incremental oracle: the previous search, kept verbatim.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Budgeted refusals depend on which nodes a search visits, so the
+   allocation-free search must visit exactly these nodes in this order:
+   witnesses and budget-exhausted [None]s are pinned against this copy. *)
+module Reference_incremental = struct
+  let by_degree_desc degree a b =
+    match Int.compare (degree b) (degree a) with
+    | 0 -> Int.compare a b
+    | c -> c
+
+  (* The workspace grows its pattern one interaction pair at a time and only
+     ever asks "does the grown pattern still embed?".  Rebuilding a Graph.t
+     per query (sort + dedup + adjacency construction) dominated that loop;
+     here the pattern lives as mutable degree counters and adjacency bitsets
+     over the qubit indices, and a query is a plain existence search over
+     that structure.  Existence is order-independent, so the search is free
+     to use any sound ordering; answers always match the full enumerator. *)
+
+  type t = {
+    qubits : int;
+    target : Graph.t;
+    nt : int;
+    deg_t : int array;
+    max_deg_t : int;
+    pmask : int array array; (* pattern adjacency bitsets, over qubits *)
+    pdeg : int array;
+    (* per-query scratch, allocated once *)
+    mapping : int array;
+    used : int array;
+    cand : int array array;
+    order : int array;
+    seen : bool array;
+  }
+
+  let create ~qubits ~target =
+    {
+      qubits;
+      target;
+      nt = Graph.n target;
+      deg_t = Array.init (Graph.n target) (Graph.degree target);
+      max_deg_t = Graph.max_degree target;
+      pmask = Array.init qubits (fun _ -> Graph.mask_make qubits);
+      pdeg = Array.make qubits 0;
+      mapping = Array.make qubits (-1);
+      used = Graph.mask_make (Graph.n target);
+      cand = Array.init (max 1 qubits) (fun _ -> Graph.mask_make (Graph.n target));
+      order = Array.make (max 1 qubits) 0;
+      seen = Array.make qubits false;
+    }
+
+  let reset inc =
+    Array.iter (fun m -> Array.fill m 0 (Array.length m) 0) inc.pmask;
+    Array.fill inc.pdeg 0 inc.qubits 0
+
+  let mem inc a b = Graph.mask_mem inc.pmask.(a) b
+
+  let add inc (a, b) =
+    if a <> b && not (mem inc a b) then begin
+      Graph.mask_set inc.pmask.(a) b;
+      Graph.mask_set inc.pmask.(b) a;
+      inc.pdeg.(a) <- inc.pdeg.(a) + 1;
+      inc.pdeg.(b) <- inc.pdeg.(b) + 1
+    end
+
+  let remove inc (a, b) =
+    if a <> b && mem inc a b then begin
+      Graph.mask_clear inc.pmask.(a) b;
+      Graph.mask_clear inc.pmask.(b) a;
+      inc.pdeg.(a) <- inc.pdeg.(a) - 1;
+      inc.pdeg.(b) <- inc.pdeg.(b) - 1
+    end
+
+  let degree inc q = inc.pdeg.(q)
+
+  (* BFS component order from maximum-degree seeds, as in {!ordering};
+     neighbor ties resolve in ascending qubit order (existence does not
+     depend on it). *)
+  let build_order inc =
+    let len = ref 0 in
+    Array.fill inc.seen 0 inc.qubits false;
+    let cmp = by_degree_desc (fun q -> inc.pdeg.(q)) in
+    let seeds = ref [] in
+    for q = inc.qubits - 1 downto 0 do
+      if inc.pdeg.(q) > 0 then seeds := q :: !seeds
+    done;
+    let seeds = Array.of_list !seeds in
+    Array.sort cmp seeds;
+    let queue = Queue.create () in
+    Array.iter
+      (fun seed ->
+        if not inc.seen.(seed) then begin
+          inc.seen.(seed) <- true;
+          Queue.add seed queue;
+          while not (Queue.is_empty queue) do
+            let u = Queue.pop queue in
+            inc.order.(!len) <- u;
+            incr len;
+            Graph.iter_mask
+              (fun v ->
+                if not inc.seen.(v) then begin
+                  inc.seen.(v) <- true;
+                  Queue.add v queue
+                end)
+              inc.pmask.(u)
+          done
+        end)
+      seeds;
+    !len
+
+  exception Found
+
+  exception Exhausted
+
+  let search ?budget inc =
+    let budget = match budget with None -> max_int | Some b -> b in
+    let order_len = build_order inc in
+    (* Quick refutations: an active qubit needs a target vertex of at least
+       its degree; active qubits need distinct target vertices. *)
+    let feasible = ref (order_len <= inc.nt) in
+    for i = 0 to order_len - 1 do
+      if inc.pdeg.(inc.order.(i)) > inc.max_deg_t then feasible := false
+    done;
+    if not !feasible then None
+    else begin
+      Array.fill inc.mapping 0 inc.qubits (-1);
+      Array.fill inc.used 0 (Array.length inc.used) 0;
+      let witness = ref None in
+      let nodes = ref 0 in
+      let rec extend step =
+        if step >= order_len then begin
+          witness := Some (Array.copy inc.mapping);
+          raise Found
+        end
+        else begin
+          let v = inc.order.(step) in
+          let try_candidate c =
+            incr nodes;
+            if !nodes > budget then raise Exhausted;
+            inc.mapping.(v) <- c;
+            Graph.mask_set inc.used c;
+            extend (step + 1);
+            Graph.mask_clear inc.used c;
+            inc.mapping.(v) <- -1
+          in
+          let deg_ok c = inc.deg_t.(c) >= inc.pdeg.(v) in
+          let mask = inc.cand.(step) in
+          let constrained = ref false in
+          Graph.iter_mask
+            (fun u ->
+              let image = inc.mapping.(u) in
+              if image >= 0 then begin
+                let nm = Graph.neighbor_mask inc.target image in
+                if !constrained then Graph.mask_inter_into ~into:mask nm
+                else begin
+                  Array.blit nm 0 mask 0 (Array.length nm);
+                  constrained := true
+                end
+              end)
+            inc.pmask.(v);
+          if !constrained then begin
+            Graph.mask_diff_into ~into:mask inc.used;
+            Graph.iter_mask (fun c -> if deg_ok c then try_candidate c) mask
+          end
+          else
+            for c = 0 to inc.nt - 1 do
+              if (not (Graph.mask_mem inc.used c)) && deg_ok c then
+                try_candidate c
+            done
+        end
+      in
+      (try extend 0 with Found -> () | Exhausted -> ());
+      !witness
+    end
+
+  let embeds_with ?budget inc ((a, b) as pair) =
+    let fresh = not (mem inc a b) in
+    if fresh then add inc pair;
+    let result = search ?budget inc in
+    if fresh then remove inc pair;
+    result
+end
+
+(* ------------------------------------------------------------------ *)
 (* Random instances                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -314,6 +499,58 @@ let test_incremental_matches_oracle () =
       (Monomorph.Incremental.embeds_with inc pair <> None)
   done
 
+(* Grow a pattern pair by pair against one target, asking both oracles the
+   same question at every step with a budget drawn from 1 to 10,000 (log
+   scale, so budgets far below the pattern size force exhausted refusals)
+   and committing the pairs they admit, as the workspace does.  Pairs mostly
+   join an already-active qubit to a nearby index, so patterns stay
+   connected and embeddable long enough for searches to run deep. *)
+let incremental_agrees seed =
+  let rng = Rng.create seed in
+  let target =
+    match Rng.int rng 3 with
+    | 0 -> Gen.grid 16 16
+    | 1 -> Gen.heavy_hex ~rows:(2 + Rng.int rng 3) ~cols:(5 + Rng.int rng 8)
+    | _ ->
+      let n = 8 + Rng.int rng 40 in
+      Gen.random_connected rng ~n ~extra_edges:(Rng.int rng n)
+  in
+  let qubits = 4 + Rng.int rng 28 in
+  let inc = Monomorph.Incremental.create ~qubits ~target in
+  let reference = Reference_incremental.create ~qubits ~target in
+  let active = Array.make qubits false in
+  active.(0) <- true;
+  let ok = ref true in
+  for _ = 1 to 40 do
+    let a =
+      let q = Rng.int rng qubits in
+      if active.(q) || Rng.int rng 4 = 0 then q else 0
+    in
+    let b =
+      if Rng.int rng 4 = 0 then Rng.int rng qubits
+      else (a + 1 + Rng.int rng 3) mod qubits
+    in
+    if a <> b then begin
+      let pair = (min a b, max a b) in
+      let budget = Float.to_int (Float.round (10.0 ** Rng.float rng 4.0)) in
+      let got = Monomorph.Incremental.embeds_with ~budget inc pair in
+      let want = Reference_incremental.embeds_with ~budget reference pair in
+      if got <> want then ok := false;
+      if want <> None then begin
+        Monomorph.Incremental.add inc pair;
+        Reference_incremental.add reference pair;
+        active.(a) <- true;
+        active.(b) <- true
+      end
+    end
+  done;
+  !ok
+
+let qcheck_incremental_matches_reference =
+  QCheck.Test.make
+    ~name:"incremental search matches the reference search node for node"
+    ~count:100 QCheck.small_int incremental_agrees
+
 let test_degree_suffix () =
   for seed = 0 to 9 do
     let rng = Rng.create (6000 + seed) in
@@ -347,5 +584,6 @@ let suite =
       test_hamilton_matches_reference;
     Alcotest.test_case "incremental oracle matches enumerator" `Quick
       test_incremental_matches_oracle;
+    QCheck_alcotest.to_alcotest qcheck_incremental_matches_reference;
     Alcotest.test_case "degree suffix counts" `Quick test_degree_suffix;
   ]

@@ -316,6 +316,22 @@ let test_embeds_with_budget () =
       (Monomorph.check ~pattern:(Graph.of_edges 4 [ (0, 1) ]) ~target w)
   | None -> Alcotest.fail "unbounded query must find an embedding"
 
+(* One seeded windowed placement, pinned.  Sixteen of its oracle queries
+   are refusals after an exhausted search budget, and refusals close
+   stages, so a change to which nodes a budgeted search visits shows up
+   in these figures. *)
+let test_windowed_grid_pinned () =
+  let env = Environment.grid 8 8 in
+  let rng = Rng.create 1 in
+  let circuit =
+    Random_circuit.hidden_stages_custom rng ~n:24 ~stages:4 ~gates_per_stage:200
+  in
+  let options = { (Options.scale ~threshold:50.0) with Options.jobs = 0 } in
+  let p = place_exn options env circuit in
+  Alcotest.(check int) "stages" 4 (Placer.subcircuit_count p);
+  Alcotest.(check int) "oracle calls" 124 p.Placer.stats.Placer.oracle_calls;
+  Alcotest.(check (float 0.0)) "makespan" 5310.0 (Placer.runtime p)
+
 (* ------------------------------------------------------------------ *)
 (* Coarsening: level structure and region selection.                    *)
 (* ------------------------------------------------------------------ *)
@@ -552,6 +568,8 @@ let suite =
     Alcotest.test_case "grid scale structure" `Quick test_grid_scale_structure;
     Alcotest.test_case "root-cap subsequence" `Quick test_root_cap_subsequence;
     Alcotest.test_case "embeds-with budget" `Quick test_embeds_with_budget;
+    Alcotest.test_case "windowed grid:8:8 placement pinned" `Quick
+      test_windowed_grid_pinned;
     Alcotest.test_case "coarsen grid" `Quick test_coarsen_grid;
     Alcotest.test_case "spill matches windowed" `Quick
       test_spill_matches_windowed;

@@ -146,6 +146,51 @@ let test_both_results_and_exceptions () =
       | exception Boom 1 -> ())
     [ 0; 2 ]
 
+exception Traced
+
+(* Backtrace recording is per domain, so the raising function turns it on
+   wherever the slot happens to run. *)
+let[@inline never] raise_from_slot i =
+  Printexc.record_backtrace true;
+  if i >= 0 then raise Traced
+
+let test_worker_backtrace_kept () =
+  let pool = Task_pool.get () in
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace was) @@ fun () ->
+  let names_origin what run =
+    match run () with
+    | () -> Alcotest.failf "%s: expected Traced" what
+    | exception Traced ->
+      let trace =
+        Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+      in
+      let needle = "raise_from_slot" in
+      let found = ref false in
+      for i = 0 to String.length trace - String.length needle do
+        if String.sub trace i (String.length needle) = needle then
+          found := true
+      done;
+      if not !found then
+        Alcotest.failf "%s: backtrace does not name the raiser:\n%s" what
+          trace
+  in
+  List.iter
+    (fun jobs ->
+      names_origin (Printf.sprintf "parallel_for jobs=%d" jobs) (fun () ->
+          Task_pool.parallel_for pool ~jobs
+            ~body:(fun ~worker:_ i ->
+              ignore (burn i);
+              if i >= 4 then raise_from_slot i)
+            8);
+      let raises () = raise_from_slot 0 and returns () = burn 7 in
+      names_origin (Printf.sprintf "both f jobs=%d" jobs) (fun () ->
+          ignore (Task_pool.both pool ~jobs raises returns));
+      names_origin (Printf.sprintf "both g jobs=%d" jobs) (fun () ->
+          ignore (Task_pool.both pool ~jobs returns raises)))
+    [ 0; 2 ]
+
 let test_nested_use_serializes () =
   let pool = Task_pool.get () in
   (* A parallel region whose slots themselves enter parallel regions: the
@@ -168,16 +213,25 @@ let test_nested_use_serializes () =
             ~map:(fun ~worker:_ i -> burn i)
             ~combine:( + ) ~init:0 inner
         in
+        (* Alcotest is not domain-safe: slots only record results, the
+           checks run on the caller after the region. *)
         let nested_both =
           Task_pool.both pool ~jobs:2 (fun () -> burn 3) (fun () -> burn 5)
         in
-        Alcotest.(check int) "nested both f" (burn 3) (fst nested_both);
-        Alcotest.(check int) "nested both g" (burn 5) (snd nested_both);
-        nested_in_task)
-      ~combine:( + ) ~init:0 outer
+        (nested_in_task, [ nested_both ]))
+      ~combine:(fun (sum, boths) (row, both) -> (sum + row, both @ boths))
+      ~init:(0, []) outer
   in
+  let sum, boths = rows in
   Alcotest.(check int) "nested regions compute correctly"
-    (outer * expected_row) rows
+    (outer * expected_row) sum;
+  Alcotest.(check int) "every slot ran its nested both" outer
+    (List.length boths);
+  List.iter
+    (fun (f, g) ->
+      Alcotest.(check int) "nested both f" (burn 3) f;
+      Alcotest.(check int) "nested both g" (burn 5) g)
+    boths
 
 let test_pool_persistent_helpers () =
   let pool = Task_pool.create () in
@@ -226,6 +280,8 @@ let suite =
       test_exception_propagation;
     Alcotest.test_case "both: results and exception precedence" `Quick
       test_both_results_and_exceptions;
+    Alcotest.test_case "worker exceptions keep their backtrace" `Quick
+      test_worker_backtrace_kept;
     Alcotest.test_case "nested use serializes without deadlock" `Quick
       test_nested_use_serializes;
     Alcotest.test_case "helpers spawn once and are reused" `Quick
