@@ -54,6 +54,31 @@ module Spill = struct
     { emit; close = (fun () -> close_out oc) }
 end
 
+(* The admissible swap-displacement lower bound (see the .mli).  Every
+   SWAP a token takes part in lies on its current vertex, so group them into
+   maximal runs on one pair: a run moves the token at most one edge, and its
+   first SWAP opens a fresh interaction run in the timing recurrence, so it
+   costs the full capped SWAP on that edge.  Hence the token's destination
+   clock is at least its source clock plus the shortest path under those
+   edge costs.  The table sums edge costs in a different order from the
+   recurrence, so the lift is shaved by a relative [1e-9] -- far above the
+   few-ulp reassociation error, far below any real clock gap. *)
+module Swap_bound = struct
+  type t = float array array
+
+  let slack = 1.0 -. 1e-9
+
+  let make ?reuse_cap ~weights adjacency =
+    let swap =
+      let t = Gate.duration (Gate.swap 0 1) in
+      match reuse_cap with None -> t | Some cap -> Float.min cap t
+    in
+    let weight u v = weights.Timing.coupled u v *. swap in
+    Paths.all_pairs_weighted_dist adjacency ~weight
+
+  let lift t ~start ~src ~dst = (start +. t.(src).(dst)) *. slack
+end
+
 type summary = {
   sm_computes : int;
   sm_networks : int;
@@ -146,21 +171,18 @@ type ctx = {
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
   c_dist : int array array;
-      (* All-pairs BFS distances over the adjacency graph, for the
-         swap-displacement lower bound. *)
-  c_swap_step : float;
-      (* Cheapest possible cost of one SWAP along any usable interaction:
-         every maximal same-pair swap run costs at least one full (capped)
-         swap gate while moving a token at most one edge, so a token
-         displaced by graph distance [d] delays its destination clock by at
-         least [d *. c_swap_step]. *)
+      (* All-pairs BFS distances over the adjacency graph: displaced
+         inactive qubits move to the nearest free vertex. *)
+  c_swap_bound : Swap_bound.t;
+      (* All-pairs capped-SWAP-weighted distances, for the routing-free
+         prebound of {!score_makespan} and {!candidate_bound}. *)
   c_hier : Coarsen.t option;
       (* Coarsening hierarchy of the adjacency graph for the
          coarsen-place-refine path; [None] when [Options.coarsen] is off,
          the environment is below the hierarchy cutoff, or matching made
-         no progress.  Both this and [c_dist] are computed when the ctx is
-         built: pool bodies read them, and forcing a shared [Lazy.t] from
-         two domains at once raises. *)
+         no progress.  This, [c_dist] and [c_swap_bound] are computed when
+         the ctx is built: pool bodies read them, and forcing a shared
+         [Lazy.t] from two domains at once raises. *)
   c_shared : Incumbent.t option;
       (* Cross-strategy incumbent of a portfolio race ({!Portfolio}):
          holds the best *achieved* end-to-end runtime any racing strategy
@@ -412,14 +434,14 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
    When the candidate needs a (non-identity) connecting SWAP stage, a
    bounded evaluation first times the subcircuit *alone* under the cutoff,
    from the previous clocks lifted by the swap-displacement bound (each
-   displaced token delays its destination clock by at least its graph
-   distance times [c_swap_step]) -- a routing-free admissible lower bound:
-   the swap stage raises each start clock by at least the lift, and the
-   recurrence is monotone in its start clocks, so the real score is at
-   least this makespan.  An abort there refutes the candidate before the
-   router ever runs; candidates at or below the cutoff are never refuted
-   (their lifted clocks cannot exceed it), so the argmin tie-break is
-   unaffected.  Callers that already compared that bound against the
+   displaced token's destination clock is at least its source clock plus
+   its capped-SWAP-weighted distance, {!Swap_bound}) -- a routing-free
+   admissible lower bound: the swap stage raises each start clock by at
+   least the lift, and the recurrence is monotone in its start clocks, so
+   the real score is at least this makespan.  An abort there refutes the
+   candidate before the router ever runs; candidates at or below the
+   cutoff are never refuted (their lifted clocks cannot exceed it), so the
+   argmin tie-break is unaffected.  Callers that already compared that bound against the
    cutoff pass [~prebound:false] to skip the redundant sweep.  The result
    is exact whenever it is [<= cutoff]. *)
 let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
@@ -455,20 +477,16 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
         bounded && prebound
         && begin
              Timing.stage_start scratch phys_start;
-             let dist = ctx.c_dist in
              let lifted = ref 0.0 in
              Array.iteri
                (fun src dst ->
                  if src <> dst then begin
-                   let d = dist.(src).(dst) in
-                   if d > 0 then begin
-                     let t =
-                       phys_start.(src)
-                       +. (float_of_int d *. ctx.c_swap_step)
-                     in
-                     Timing.stage_lift scratch dst t;
-                     if t > !lifted then lifted := t
-                   end
+                   let t =
+                     Swap_bound.lift ctx.c_swap_bound ~start:phys_start.(src)
+                       ~src ~dst
+                   in
+                   Timing.stage_lift scratch dst t;
+                   if t > !lifted then lifted := t
                  end)
                perm;
              (* A lifted clock above the cutoff already refutes the
@@ -501,15 +519,12 @@ let candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit placement =
     let perm =
       Perm.of_placements ~size:ctx.c_m ~before:previous ~after:placement
     in
-    let dist = ctx.c_dist in
     Array.iteri
       (fun src dst ->
-        if src <> dst then begin
-          let d = dist.(src).(dst) in
-          if d > 0 then
-            Timing.stage_lift scratch dst
-              (phys_start.(src) +. (float_of_int d *. ctx.c_swap_step))
-        end)
+        if src <> dst then
+          Timing.stage_lift scratch dst
+            (Swap_bound.lift ctx.c_swap_bound ~start:phys_start.(src) ~src
+               ~dst))
       perm);
   let completed =
     Timing.stage_advance ~model:ctx.c_options.Options.model
@@ -1583,17 +1598,9 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
           c_scratch = Timing.make_scratch ();
           c_scoring_time = ref 0.0;
           c_dist = Array.init m (fun v -> Paths.bfs_dist adjacency v);
-          c_swap_step =
-            (let weights = Environment.weights env in
-             let capped_swap =
-               match options.Options.reuse_cap with
-               | None -> 3.0
-               | Some cap -> Float.min cap 3.0
-             in
-             List.fold_left
-               (fun acc (u, v) ->
-                 Float.min acc (weights.Timing.coupled u v *. capped_swap))
-               infinity (Graph.edges adjacency));
+          c_swap_bound =
+            Swap_bound.make ?reuse_cap:options.Options.reuse_cap
+              ~weights:(Environment.weights env) adjacency;
           c_hier =
             (if options.Options.coarsen && m >= coarsen_min_env then begin
                let hier =

@@ -49,6 +49,28 @@ module Spill : sig
       "swaps": s}].  [close] closes the file. *)
 end
 
+(** The routing-free lower bound that lets candidate scoring refute most
+    losing candidates before their connecting SWAP stage is routed. *)
+module Swap_bound : sig
+  type t
+  (** All-pairs shortest-path distances over an adjacency graph, where an
+      edge costs one full SWAP on it: its coupling delay times the SWAP
+      duration capped at [reuse_cap]. *)
+
+  val make :
+    ?reuse_cap:float -> weights:Qcp_circuit.Timing.weights -> Qcp_graph.Graph.t -> t
+  (** One Dijkstra per source
+      ({!Qcp_graph.Paths.all_pairs_weighted_dist}). *)
+
+  val lift : t -> start:float -> src:int -> dst:int -> float
+  (** A lower bound on the clock of vertex [dst] after any SWAP circuit
+      over the graph's edges that carries the token at [src] (ready at
+      [start]) to [dst], timed by {!Qcp_circuit.Timing} under either model
+      and the same [reuse_cap]: [start] plus the weighted distance, shaved
+      by a relative [1e-9] so float reassociation cannot push it above the
+      timed clock. *)
+end
+
 type summary = {
   sm_computes : int;  (** number of computation stages placed *)
   sm_networks : int;  (** number of SWAP permutation stages *)

@@ -1,5 +1,5 @@
-(** Breadth-first traversals: distances, shortest paths, connected components
-    and spanning trees. *)
+(** Graph traversals: breadth-first distances, shortest paths, connected
+    components and spanning trees, plus weighted (Dijkstra) distances. *)
 
 val bfs_dist : ?restrict:(int -> bool) -> Graph.t -> int -> int array
 (** Unweighted distances from a source; [-1] for unreachable vertices.  When
@@ -27,3 +27,14 @@ val is_connected_subset : Graph.t -> int list -> bool
 
 val spanning_tree : Graph.t -> root:int -> (int * int) list
 (** Edges of a BFS spanning tree of the root's component. *)
+
+val all_pairs_weighted_dist :
+  Graph.t -> weight:(int -> int -> float) -> float array array
+(** [(all_pairs_weighted_dist g ~weight).(s).(v)] is the shortest-path
+    distance from [s] to [v] where traversing edge [(u, v)] from [u] costs
+    [weight u v]; [infinity] when [v] is unreachable.  One Dijkstra per
+    source over the adjacency lists, with each edge's cost looked up once.
+    Each distance is the smallest left-to-right float sum of edge costs
+    along a path, so [dist.(s).(v) <= dist.(s).(u) +. weight u v] holds
+    exactly for every edge.  Raises [Invalid_argument] on a negative or NaN
+    weight. *)

@@ -97,17 +97,30 @@ let route_impl ?(leaf_override = true) ?edge_cost ?memo ?(jobs = 0) g ~perm =
     invalid_arg "Bisect_router.route: permutation size mismatch";
   if not (Perm.is_valid perm) then
     invalid_arg "Bisect_router.route: not a permutation";
-  if not (Paths.is_connected g) then
-    invalid_arg "Bisect_router.route: adjacency graph must be connected";
+  let check_connected () =
+    if not (Paths.is_connected g) then
+      invalid_arg "Bisect_router.route: adjacency graph must be connected"
+  in
   let info_of =
     match memo with
-    | None -> compute_info g edge_cost
+    | None ->
+      check_connected ();
+      compute_info g edge_cost
     | Some memo ->
+      (* Graphs are immutable and a memo only ever serves its owner, so
+         connectivity is checked once, when the memo binds. *)
       (match memo.owner with
-      | None -> memo.owner <- Some g
-      | Some owner ->
-        if owner != g then
-          invalid_arg "Bisect_router.route: memo built for a different graph");
+      | Some owner when owner == g -> ()
+      | _ ->
+        Mutex.protect memo.lock (fun () ->
+            match memo.owner with
+            | Some owner ->
+              if owner != g then
+                invalid_arg
+                  "Bisect_router.route: memo built for a different graph"
+            | None ->
+              check_connected ();
+              memo.owner <- Some g));
       fun vertices ->
         let find () = Hashtbl.find_opt memo.table vertices in
         Mutex.protect memo.lock (fun () ->

@@ -25,9 +25,10 @@ type memo
 
 val make_memo : unit -> memo
 (** A fresh, empty memo.  Use one memo per (graph, [edge_cost]) combination:
-    the first [route] call binds it to its graph (later calls with another
-    graph raise [Invalid_argument]), but a differing [edge_cost] cannot be
-    detected and silently yields the channels of the first one. *)
+    the first [route] call binds it to its graph, checking once that the
+    graph is connected (later calls with another graph raise
+    [Invalid_argument]), but a differing [edge_cost] cannot be detected and
+    silently yields the channels of the first one. *)
 
 val route :
   ?leaf_override:bool ->

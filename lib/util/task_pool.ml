@@ -82,17 +82,16 @@ let create () =
 
 let helpers pool = Mutex.protect pool.lock (fun () -> pool.helper_count)
 
-let env_jobs =
-  let memo =
-    lazy
-      (match Sys.getenv_opt "QCP_JOBS" with
-      | None -> 0
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 0 -> n
-        | _ -> 0))
-  in
-  fun () -> Lazy.force memo
+(* Read when the module initialises, before any domain can race on it. *)
+let env_jobs_value =
+  match Sys.getenv_opt "QCP_JOBS" with
+  | None -> 0
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 0 -> n
+    | _ -> 0)
+
+let env_jobs () = env_jobs_value
 
 let mark_batch_finished b =
   Mutex.protect b.b_mutex (fun () -> b.b_finished <- true);
@@ -330,6 +329,9 @@ let both pool ~jobs f g =
     end
   end
 
-let shared = lazy (create ())
+(* Created when the module initialises: [create] only allocates a mutex
+   and a condition (helpers spawn on first parallel use), and a plain value
+   needs no synchronisation when two domains ask for it at once. *)
+let shared = create ()
 
-let get () = Lazy.force shared
+let get () = shared

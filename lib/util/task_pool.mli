@@ -39,7 +39,9 @@ val create : unit -> t
     process-wide pool from {!get}. *)
 
 val get : unit -> t
-(** The process-wide shared pool, created on first use. *)
+(** The process-wide shared pool, created when the module initialises
+    (its helpers still spawn on first parallel use), so every domain gets
+    the physically same pool. *)
 
 val helpers : t -> int
 (** Number of helper domains currently alive in [pool] (excludes the
@@ -49,7 +51,7 @@ val helpers : t -> int
 val env_jobs : unit -> int
 (** Parallelism requested by the [QCP_JOBS] environment variable: the
     parsed value when it is a non-negative integer, 0 (sequential)
-    otherwise or when unset.  Read once and memoized. *)
+    otherwise or when unset.  Read once, when the module initialises. *)
 
 val parallel_for : t -> jobs:int -> body:(worker:int -> int -> unit) -> int -> unit
 (** [parallel_for pool ~jobs ~body total] runs [body ~worker i] for every

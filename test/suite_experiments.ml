@@ -28,6 +28,102 @@ let test_table3 () =
   Alcotest.(check bool) "single-workspace cells" true
     (contains ~needle:"(1)" text)
 
+(* Every Table 3 cell at the paper's k = 100, pinned to its runtime (delay
+   units) and subcircuit count.  A pruning bound that is not admissible
+   would refute a winning candidate and move one of these; the "table3
+   anchors" test above runs at k = 24 and checks only the table's shape.
+   Runtimes are dyadic, so they compare exactly.  Cells are in the table's
+   order, thresholds 50, 100, 200, 500, 1000 and 10000; [None] is N/A. *)
+let table3_pinned =
+  let module M = Qcp_env.Molecules in
+  [
+    ( M.boc_glycine_fluoride,
+      "phaseest",
+      [
+        Some (704.75, 5); Some (704.75, 5); Some (622.0, 2);
+        Some (622.0, 2); Some (882.0, 2); Some (1032.0, 1);
+      ] );
+    ( M.iron_complex,
+      "phaseest",
+      [
+        None; None; Some (3501.5, 5);
+        Some (2051.0, 2); Some (2051.0, 2); Some (2518.5, 1);
+      ] );
+    ( M.trans_crotonic_acid,
+      "phaseest",
+      [
+        Some (1095.0, 4); Some (1095.0, 4); Some (1303.0, 3);
+        Some (944.75, 2); Some (1020.5, 2); Some (1689.5, 1);
+      ] );
+    ( M.trans_crotonic_acid,
+      "qft6",
+      [
+        Some (1428.4375, 5); Some (1428.4375, 5); Some (1449.5, 4);
+        Some (1934.625, 2); Some (1447.0, 2); Some (1870.0, 1);
+      ] );
+    ( M.histidine,
+      "phaseest",
+      [
+        Some (1831.0, 4); Some (1831.0, 4); Some (1347.25, 3);
+        Some (793.75, 2); Some (793.75, 2); Some (992.0, 1);
+      ] );
+    ( M.histidine,
+      "qft6",
+      [
+        Some (5504.3125, 5); Some (5504.3125, 5); Some (2088.75, 4);
+        Some (1443.625, 2); Some (1790.625, 2); Some (1059.0, 1);
+      ] );
+    ( M.histidine,
+      "aqft9",
+      [
+        Some (10495.75, 8); Some (10495.75, 8); Some (13806.0, 7);
+        Some (5777.0, 3); Some (8579.75, 3); Some (5061.5, 1);
+      ] );
+    ( M.histidine,
+      "steane-x/z1",
+      [
+        Some (4207.0, 4); Some (4207.0, 4); Some (7319.0, 3);
+        Some (7092.0, 2); Some (5382.0, 2); Some (12788.0, 1);
+      ] );
+    ( M.histidine,
+      "steane-x/z2",
+      [
+        Some (8461.0, 5); Some (8461.0, 5); Some (29958.0, 3);
+        Some (5166.0, 2); Some (5236.0, 2); Some (5893.0, 1);
+      ] );
+    ( M.histidine,
+      "aqft12",
+      [
+        Some (18640.625, 11); Some (18640.625, 11); Some (20284.0, 10);
+        Some (16444.25, 4); Some (15435.875, 4); Some (7459.5, 1);
+      ] );
+  ]
+
+let test_table3_pinned () =
+  let thresholds = [ 50.0; 100.0; 200.0; 500.0; 1000.0; 10000.0 ] in
+  List.iter
+    (fun (env, name, cells) ->
+      let circuit = Option.get (Qcp_circuit.Catalog.by_name name) in
+      List.iter2
+        (fun threshold expected ->
+          let label =
+            Printf.sprintf "%s %s @ %g" (Qcp_env.Environment.name env) name
+              threshold
+          in
+          let options =
+            { (Qcp.Options.default ~threshold) with
+              Qcp.Options.monomorphism_limit = 100 }
+          in
+          let got =
+            match Qcp.Placer.place options env circuit with
+            | Qcp.Placer.Placed p ->
+              Some (Qcp.Placer.runtime p, Qcp.Placer.subcircuit_count p)
+            | Qcp.Placer.Unplaceable _ -> None
+          in
+          Alcotest.(check (option (pair (float 0.0) int))) label expected got)
+        thresholds cells)
+    table3_pinned
+
 let test_table4 () =
   let text = E.table4 () in
   Alcotest.(check bool) "row 8 gates" true (contains ~needle:"72" text);
@@ -107,6 +203,7 @@ let suite =
     Alcotest.test_case "table1 anchors" `Quick test_table1;
     Alcotest.test_case "table2 anchors" `Quick test_table2;
     Alcotest.test_case "table3 anchors" `Slow test_table3;
+    Alcotest.test_case "table3 pinned at k = 100" `Slow test_table3_pinned;
     Alcotest.test_case "table4 stage structure" `Slow test_table4;
     Alcotest.test_case "figures" `Quick test_figures;
     Alcotest.test_case "npc report" `Quick test_npc;

@@ -226,6 +226,58 @@ let qcheck_monomorph_check =
       Monomorph.enumerate ~limit:20 ~pattern ~target ()
       |> List.for_all (fun mp -> Monomorph.check ~pattern ~target mp))
 
+(* Dijkstra against brute force: the minimum, over every simple path, of
+   the left-to-right float sum of its edge weights.  Equal bit for bit, as
+   the interface promises.  Weights are non-integer (some zero) and the
+   graph may be disconnected. *)
+let qcheck_all_pairs_weighted_dist_brute_force =
+  QCheck.Test.make ~name:"all_pairs_weighted_dist matches brute-force path sums"
+    ~count:80
+    QCheck.(pair small_int (int_range 1 7))
+    (fun (seed, n) ->
+      let rng = Qcp_util.Rng.create seed in
+      let edges =
+        List.concat_map
+          (fun u ->
+            List.filter_map
+              (fun v -> if Qcp_util.Rng.int rng 3 = 0 then Some (u, v) else None)
+              (Qcp_util.Listx.range_from (u + 1) n))
+          (Qcp_util.Listx.range n)
+      in
+      let g = Graph.of_edges n edges in
+      let w =
+        Array.init n (fun _ ->
+            Array.init n (fun _ ->
+                if Qcp_util.Rng.int rng 8 = 0 then 0.0
+                else Qcp_util.Rng.float rng 100.0))
+      in
+      let weight u v = w.(min u v).(max u v) in
+      let table = Paths.all_pairs_weighted_dist g ~weight in
+      List.for_all
+        (fun source ->
+          let best = Array.make n infinity in
+          let on_path = Array.make n false in
+          let rec walk u d =
+            if d < best.(u) then best.(u) <- d;
+            on_path.(u) <- true;
+            Array.iter
+              (fun v -> if not on_path.(v) then walk v (d +. weight u v))
+              (Graph.neighbors g u);
+            on_path.(u) <- false
+          in
+          walk source 0.0;
+          table.(source) = best)
+        (Qcp_util.Listx.range n))
+
+let test_all_pairs_weighted_dist_rejects_negative () =
+  Alcotest.(check bool) "raises" true
+    (match
+       Paths.all_pairs_weighted_dist (Gen.path_graph 3)
+         ~weight:(fun _ _ -> -1.0)
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "of_edges basic" `Quick test_of_edges_basic;
@@ -238,6 +290,8 @@ let suite =
     Alcotest.test_case "components" `Quick test_components;
     Alcotest.test_case "connected subset" `Quick test_connected_subset;
     Alcotest.test_case "spanning tree" `Quick test_spanning_tree;
+    Alcotest.test_case "all_pairs_weighted_dist rejects negative weights" `Quick
+      test_all_pairs_weighted_dist_rejects_negative;
     Alcotest.test_case "bisect chain" `Quick test_bisect_balanced;
     Alcotest.test_case "bisect star" `Quick test_bisect_star;
     Alcotest.test_case "bisect disconnected" `Quick test_bisect_disconnected;
@@ -258,4 +312,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_bisect_sides_connected;
     QCheck_alcotest.to_alcotest qcheck_separability_theorem1;
     QCheck_alcotest.to_alcotest qcheck_monomorph_check;
+    QCheck_alcotest.to_alcotest qcheck_all_pairs_weighted_dist_brute_force;
   ]

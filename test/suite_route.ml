@@ -105,7 +105,16 @@ let test_route_disconnected_rejected () =
   Alcotest.(check bool) "raises" true
     (match Bisect_router.route g ~perm:(Perm.identity 4) with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* With a memo the check runs when the memo binds; a rejected graph
+     leaves it unbound, so every later call is rejected too. *)
+  let memo = Bisect_router.make_memo () in
+  for call = 1 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "memo call %d raises" call) true
+      (match Bisect_router.route ~memo g ~perm:(Perm.identity 4) with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  done
 
 let test_route_bad_perm_rejected () =
   let g = Gen.path_graph 3 in
@@ -188,6 +197,76 @@ let qcheck_network_swaps_on_edges =
       let perm = Perm.random rng n in
       Swap_network.is_valid g (Bisect_router.route g ~perm))
 
+(* The placer's routing-free prebound ({!Qcp.Placer.Swap_bound}) must
+   never exceed the timed clock of a displaced token's destination, for
+   every router, reuse cap and timing model.  Delays and start clocks are
+   non-integer, so float reassociation is exercised; the comparison has no
+   tolerance, since a lift one ulp too high would refute a tying candidate
+   and change the placer's tie-break. *)
+let qcheck_swap_bound_admissible =
+  let module Environment = Qcp_env.Environment in
+  let module Timing = Qcp_circuit.Timing in
+  let module Swap_bound = Qcp.Placer.Swap_bound in
+  QCheck.Test.make ~name:"swap bound never exceeds the timed swap stage"
+    ~count:60
+    QCheck.(pair small_int (int_range 3 10))
+    (fun (seed, n) ->
+      let rng = Qcp_util.Rng.create seed in
+      let env = Qcp_env.Random_env.molecule rng ~n in
+      let threshold = Qcp_env.Random_env.interesting_threshold rng env in
+      let weights = Environment.weights env in
+      let perm = Qcp_util.Rng.permutation rng n in
+      let start = Array.init n (fun _ -> Qcp_util.Rng.float rng 5000.0) in
+      (* The threshold adjacency, and a chain so the odd-even router always
+         runs (every coupling of a random molecule is finite). *)
+      let graphs =
+        Option.to_list (Environment.connected_adjacency env ~threshold)
+        @ [ Gen.path_graph n ]
+      in
+      let routers g =
+        [
+          Bisect_router.route g;
+          Bisect_router.route
+            ~edge_cost:(Environment.coupling_delay env)
+            g;
+          Token_router.route g;
+        ]
+        @
+        match Qcp_route.Oes_router.path_order g with
+        | Some _ -> [ Qcp_route.Oes_router.route g ]
+        | None -> []
+      in
+      let scratch = Timing.make_scratch () in
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun route ->
+              let circuit =
+                Swap_network.to_circuit ~qubits:n (route ~perm)
+              in
+              List.for_all
+                (fun reuse_cap ->
+                  let bound = Swap_bound.make ?reuse_cap ~weights g in
+                  List.for_all
+                    (fun model ->
+                      Timing.stage_start scratch start;
+                      ignore
+                        (Timing.stage_advance ~model ?reuse_cap ~weights
+                           ~place:Timing.identity_place scratch circuit);
+                      let clocks = Timing.stage_clocks scratch in
+                      Array.for_all Fun.id
+                        (Array.mapi
+                           (fun src dst ->
+                             src = dst
+                             || clocks.(dst)
+                                >= Swap_bound.lift bound ~start:start.(src)
+                                     ~src ~dst)
+                           perm))
+                    [ Timing.Asap; Timing.Sequential ])
+                [ None; Some 2.0 ])
+            (routers g))
+        graphs)
+
 let suite =
   [
     Alcotest.test_case "perm basics" `Quick test_perm_basics;
@@ -212,4 +291,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_bisect_router_no_override_correct;
     QCheck_alcotest.to_alcotest qcheck_depth_linear_bound;
     QCheck_alcotest.to_alcotest qcheck_network_swaps_on_edges;
+    QCheck_alcotest.to_alcotest qcheck_swap_bound_admissible;
   ]

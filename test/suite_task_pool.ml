@@ -255,8 +255,9 @@ let test_pool_persistent_helpers () =
   Task_pool.shutdown pool
 
 let test_env_jobs_parse () =
-  (* The variable is read once and memoized; this only pins the parse of
-     whatever the harness environment says (unset/invalid -> 0). *)
+  (* The variable is read once at module initialisation; this only pins
+     the parse of whatever the harness environment says (unset/invalid ->
+     0). *)
   let expected =
     match Sys.getenv_opt "QCP_JOBS" with
     | None -> 0
@@ -267,6 +268,26 @@ let test_env_jobs_parse () =
   in
   Alcotest.(check int) "env_jobs matches QCP_JOBS" expected
     (Task_pool.env_jobs ())
+
+let test_shared_state_across_domains () =
+  (* Two domains released together read the process-wide state at once:
+     both see the same [QCP_JOBS] value and the physically same pool. *)
+  let ready = Atomic.make 0 in
+  let read () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    (Task_pool.env_jobs (), Task_pool.get ())
+  in
+  let a = Domain.spawn read and b = Domain.spawn read in
+  let jobs_a, pool_a = Domain.join a and jobs_b, pool_b = Domain.join b in
+  Alcotest.(check int) "equal env_jobs" jobs_a jobs_b;
+  Alcotest.(check int) "env_jobs as on the main domain" (Task_pool.env_jobs ())
+    jobs_a;
+  Alcotest.(check bool) "physically equal pools" true (pool_a == pool_b);
+  Alcotest.(check bool) "the main domain's pool" true
+    (pool_a == Task_pool.get ())
 
 let suite =
   [
@@ -287,4 +308,6 @@ let suite =
     Alcotest.test_case "helpers spawn once and are reused" `Quick
       test_pool_persistent_helpers;
     Alcotest.test_case "env_jobs parses QCP_JOBS" `Quick test_env_jobs_parse;
+    Alcotest.test_case "env_jobs and get agree across domains" `Quick
+      test_shared_state_across_domains;
   ]
