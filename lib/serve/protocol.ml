@@ -32,7 +32,13 @@ type envelope = {
 (* Spec resolution (no file paths: remote clients must not name files) *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_env spec =
+(* Generated environments carry a dense [n x n] delay matrix (copied once
+   more by [Environment.make]), so a generator spec from a remote client
+   is bounded before anything is built.  1,024 vertices covers every
+   generated device the tests and benchmarks place (up to [grid:32:32]). *)
+let max_generated_vertices = 1024
+
+let resolve_env_value spec =
   if String.contains spec '\n' then
     try Ok (Env_format.parse spec) with
     | Env_format.Parse_error (line, msg) ->
@@ -41,14 +47,24 @@ let resolve_env spec =
     match Qcp_env.Molecules.by_name spec with
     | Some env -> Ok env
     | None -> (
+      let too_large n =
+        Error
+          (Printf.sprintf "%s has %s vertices; generated environments are capped at %d"
+             spec n max_generated_vertices)
+      in
       match String.split_on_char ':' spec with
       | [ "chain"; n ] -> (
         match int_of_string_opt n with
+        | Some n when n > max_generated_vertices -> too_large (string_of_int n)
         | Some n when n > 0 -> Ok (Environment.chain n)
         | Some _ | None -> Error "chain:<n> needs a positive integer")
       | [ "grid"; r; c ] -> (
         match (int_of_string_opt r, int_of_string_opt c) with
-        | Some r, Some c when r > 0 && c > 0 -> Ok (Environment.grid r c)
+        | Some r, Some c when r > 0 && c > 0 ->
+          (* [r <= max / c] bounds [r * c] without computing it, so a
+             product past [max_int] cannot wrap into range. *)
+          if r <= max_generated_vertices / c then Ok (Environment.grid r c)
+          else too_large (Printf.sprintf "%d x %d" r c)
         | _ -> Error "grid:<rows>:<cols> needs positive integers")
       | _ ->
         Error
@@ -58,7 +74,7 @@ let resolve_env spec =
              spec
              (String.concat ", " Qcp_env.Molecules.names)))
 
-let resolve_circuit spec =
+let resolve_circuit_value spec =
   if String.contains spec '\n' then
     try Ok (Qc_format.parse spec) with
     | Qc_format.Parse_error (line, msg) ->
@@ -81,24 +97,32 @@ let resolve_circuit spec =
 (* Content-hash keys                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let key options env circuit =
-  String.concat "\n"
-    [
-      "qcp-serve-v1";
-      Options.canonical options;
-      Env_format.print env;
-      Qc_format.print circuit;
-    ]
+(* Resolution pairs each value with its canonical text, computed once
+   here; a caller that interns resolved specs (the daemon) thereby builds
+   a repeat's key from stored texts instead of re-printing the instance. *)
+let resolve_env spec =
+  Result.map (fun env -> (env, Env_format.print env)) (resolve_env_value spec)
 
+let resolve_circuit spec =
+  Result.map (fun c -> (c, Qc_format.print c)) (resolve_circuit_value spec)
+
+let key_of_texts options env_text circuit_text =
+  String.concat "\n"
+    [ "qcp-serve-v1"; Options.canonical options; env_text; circuit_text ]
+
+let key options env circuit =
+  key_of_texts options (Env_format.print env) (Qc_format.print circuit)
+
+(* FNV-1a, 64-bit.  A plain loop over a local ref keeps the state in an
+   unboxed register (a closure over the ref would box it every byte). *)
 let key_hash s =
-  (* FNV-1a, 64-bit. *)
-  let offset = 0xcbf29ce484222325L and prime = 0x100000001b3L in
-  let h = ref offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
 let cacheable p =
@@ -110,13 +134,16 @@ let cacheable p =
 
 let ( let* ) = Result.bind
 
-let opt_member name json f ~default =
+let member_opt name json f =
   match Json.member name json with
-  | None | Some Json.Null -> Ok default
+  | None | Some Json.Null -> Ok None
   | Some v -> (
     match f v with
-    | Some x -> Ok x
+    | Some x -> Ok (Some x)
     | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+
+let opt_member name json f ~default =
+  Result.map (Option.value ~default) (member_opt name json f)
 
 (* Decode the "options" object onto {!Options.default}.  Unknown names are
    rejected (a typo silently falling back to a default would cache-key the
@@ -149,9 +176,13 @@ let options_of_json env json =
         else Error (Printf.sprintf "unknown option %S" name))
       (Ok ()) fields
   in
-  let* threshold =
-    opt_member "threshold" json Json.to_float
-      ~default:(Environment.min_threshold_connected env)
+  (* The connectivity default costs a spanning-tree pass over the
+     environment, so it runs only when the request names no threshold. *)
+  let* threshold = member_opt "threshold" json Json.to_float in
+  let threshold =
+    match threshold with
+    | Some t -> t
+    | None -> Environment.min_threshold_connected env
   in
   let base = Options.default ~threshold in
   let* monomorphism_limit =
@@ -300,8 +331,8 @@ let parse_place ~resolve_env ~resolve_circuit json =
     | Some s -> Ok s
     | None -> Error "place request needs a string field \"circuit\""
   in
-  let* env = resolve_env env_spec in
-  let* circuit = resolve_circuit circuit_spec in
+  let* env, env_text = resolve_env env_spec in
+  let* circuit, circuit_text = resolve_circuit circuit_spec in
   let options_json =
     Option.value (Json.member "options" json) ~default:Json.Null
   in
@@ -320,7 +351,7 @@ let parse_place ~resolve_env ~resolve_circuit json =
          options;
          deadline;
          telemetry;
-         key = key options env circuit;
+         key = key_of_texts options env_text circuit_text;
        })
 
 let parse_line ?(resolve_env = resolve_env) ?(resolve_circuit = resolve_circuit)

@@ -28,7 +28,8 @@
     can answer repeats with the bit-identical result a cold solve would
     produce.  The full key is used for lookups (no truncation, so no
     false collisions); responses carry its FNV-1a 64-bit hex digest for
-    observability. *)
+    observability.  The texts are computed once per resolved spec (see
+    the resolver contract of {!parse_line}). *)
 
 type place = {
   env : Qcp_env.Environment.t;
@@ -68,26 +69,46 @@ type envelope = {
 }
 
 val parse_line :
-  ?resolve_env:(string -> (Qcp_env.Environment.t, string) result) ->
-  ?resolve_circuit:(string -> (Qcp_circuit.Circuit.t, string) result) ->
+  ?resolve_env:(string -> (Qcp_env.Environment.t * string, string) result) ->
+  ?resolve_circuit:(string -> (Qcp_circuit.Circuit.t * string, string) result) ->
   string ->
   envelope
 (** Parse one request line.  [resolve_env] / [resolve_circuit] override
-    the spec resolvers (the daemon passes interning resolvers so repeated
-    specs share one physical environment — which is what keeps the
-    adjacency and route registries hot across requests); the defaults are
-    {!resolve_env} and {!resolve_circuit} below. *)
+    the spec resolvers; the defaults are {!resolve_env} and
+    {!resolve_circuit} below.
 
-val resolve_env : string -> (Qcp_env.Environment.t, string) result
+    {b Resolver contract.}  A resolver maps a spec to its value {e and}
+    that value's canonical text: [Env_format.print env] for an
+    environment, [Qc_format.print circuit] for a circuit, byte for byte.
+    The request key is built from those texts, so a resolver that returns
+    any other text breaks the collide-iff-equal property of keys.  The
+    daemon passes interning resolvers that return the stored pair of a
+    repeated spec: repeats share one physical environment (which keeps
+    the adjacency and route registries hot) and build their key without
+    printing anything, so a hit's parse cost does not grow with the
+    instance. *)
+
+val resolve_env : string -> (Qcp_env.Environment.t * string, string) result
 (** Molecule names, [chain:<n>], [grid:<r>:<c>], or an inline multi-line
-    [.env] document.  No file paths. *)
+    [.env] document, paired with {!Qcp_env.Env_format.print} of the value.
+    No file paths.  Generators are capped at {!max_generated_vertices}
+    vertices (a generated environment holds a dense delay matrix); larger
+    or overflowing sizes are an [Error], returned before anything is
+    allocated. *)
 
-val resolve_circuit : string -> (Qcp_circuit.Circuit.t, string) result
-(** Catalog and library names, or an inline multi-line [.qc] document.
-    No file paths. *)
+val max_generated_vertices : int
+(** 1,024: the vertex bound on [chain:<n>] and [grid:<r>:<c>] specs. *)
+
+val resolve_circuit : string -> (Qcp_circuit.Circuit.t * string, string) result
+(** Catalog and library names, or an inline multi-line [.qc] document,
+    paired with {!Qcp_circuit.Qc_format.print} of the value.  No file
+    paths. *)
 
 val key : Qcp.Options.t -> Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> string
-(** The canonical content key of a (options, env, circuit) instance. *)
+(** The canonical content key of a (options, env, circuit) instance: the
+    reference definition.  {!parse_line} builds its keys from the
+    resolvers' texts with the same function, so for any request the key
+    it returns equals [key options env circuit] on the resolved values. *)
 
 val key_hash : string -> string
 (** FNV-1a 64-bit hex digest of a key (16 hex chars) — the [key] field of

@@ -55,11 +55,13 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 module Engine = struct
-  (* Bounded FIFO intern table: spec string -> resolved value.  Interning
-     makes repeated specs share one physical environment / circuit, which
-     is what keeps the per-env adjacency memo and the per-graph route
-     registries of {!Qcp.Score_cache} hot across requests.  FIFO keeps
-     eviction deterministic (same reasoning as the shared route tables). *)
+  (* Bounded FIFO intern table: spec string -> resolved value and its
+     canonical text.  Interning makes repeated specs share one physical
+     environment / circuit, which is what keeps the per-env adjacency memo
+     and the per-graph route registries of {!Qcp.Score_cache} hot across
+     requests; the stored text lets a repeat build its key without
+     re-printing the instance.  FIFO keeps eviction deterministic (same
+     reasoning as the shared route tables). *)
   type 'a intern = {
     in_cap : int;
     in_table : (string, 'a) Hashtbl.t;
@@ -102,8 +104,8 @@ module Engine = struct
   type t = {
     config : config;
     result_cache : Result_cache.t;
-    envs : Qcp_env.Environment.t intern;
-    circuits : Qcp_circuit.Circuit.t intern;
+    envs : (Qcp_env.Environment.t * string) intern;
+    circuits : (Qcp_circuit.Circuit.t * string) intern;
     counters : counters;
     flight : Flight.t option;
     mutable seq : int;  (* next request sequence number *)

@@ -99,8 +99,12 @@ module Engine : sig
   val parse_line : t -> string -> Protocol.envelope
   (** {!Protocol.parse_line} with this engine's interning resolvers:
       repeated env / circuit specs resolve to the same physical value
-      (bounded FIFO intern tables), which keeps the adjacency memo and
-      the per-graph route registries hot across requests. *)
+      (bounded FIFO intern tables, 128 entries each), which keeps the
+      adjacency memo and the per-graph route registries hot across
+      requests.  Each entry also holds the value's canonical text, printed
+      once when the spec is first resolved, so a repeated spec's key is
+      built without printing the instance; the key equals
+      {!Protocol.key} on the resolved values. *)
 
   type job = {
     j_seq : int;  (** Engine-assigned request sequence number. *)

@@ -135,7 +135,81 @@ let test_key_hash_format () =
         ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
     h;
   Alcotest.(check bool) "distinct inputs, distinct digests" true
-    (Protocol.key_hash "a" <> Protocol.key_hash "b")
+    (Protocol.key_hash "a" <> Protocol.key_hash "b");
+  (* FNV-1a 64 reference vectors: the digest is the response's "key"
+     field, so clients may compare it across daemon versions. *)
+  List.iter
+    (fun (input, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "FNV-1a 64 of %S" input)
+        digest (Protocol.key_hash input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
+(* The engine builds keys from canonical texts memoized on its intern
+   tables; they must equal the reference [Protocol.key] of the resolved
+   values byte for byte, whether the spec was resolved just now, served
+   from the table, or resolved again after FIFO eviction. *)
+let test_memo_keys_match_reference () =
+  let eng = Engine.create Server.default_config in
+  let place line =
+    match (Engine.parse_line eng line).Protocol.request with
+    | Ok (Protocol.Place p) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: memoized key = Protocol.key" line)
+        (Protocol.key p.Protocol.options p.Protocol.env p.Protocol.circuit)
+        p.Protocol.key;
+      p.Protocol.key
+    | Ok _ -> Alcotest.failf "%s: not a place request" line
+    | Error msg -> Alcotest.failf "%s: %s" line msg
+  in
+  let json_line env circuit =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.Str "place");
+           ("env", Json.Str env);
+           ("circuit", Json.Str circuit);
+           ("options", Json.Obj [ ("threshold", Json.Num 100.0) ]);
+         ])
+  in
+  (* Named, generator and inline specs, each twice (resolve, then hit). *)
+  let inline_env =
+    Qcp_env.Env_format.print Qcp_env.Molecules.trans_crotonic_acid
+  in
+  let named = json_line "trans-crotonic" "qft6" in
+  List.iter
+    (fun line ->
+      let first = place line in
+      Alcotest.(check string) "repeat, same key" first (place line))
+    [
+      named;
+      json_line "chain:7" "qec5";
+      json_line "grid:3:3" "aqft9";
+      json_line inline_env "qft6";
+      json_line "trans-crotonic"
+        (Qcp_circuit.Qc_format.print (Option.get (Qcp_circuit.Catalog.by_name "qec3")));
+    ];
+  Alcotest.(check string) "named and inline env share a key" (place named)
+    (place (json_line inline_env "qft6"));
+  (* Two spellings of one circuit: different intern entries, one key. *)
+  let doc = "qubits 3\nzz 0 1 90\ncnot 1 2\n" in
+  let reformatted = "# same circuit\nqubits   3\n\nzz 0 1 90  # coupling\n\tcnot 1 2\n" in
+  Alcotest.(check string) "reformatted inline docs share a key"
+    (place (json_line "trans-crotonic" doc))
+    (place (json_line "trans-crotonic" reformatted));
+  (* More distinct inline circuits than the 128-entry table holds, then
+     the first again: it is resolved afresh after its eviction. *)
+  let distinct i = Printf.sprintf "qubits 3\nzz 0 1 90\nrz 2 %d\n" (i + 1) in
+  let first = place (json_line "trans-crotonic" (distinct 0)) in
+  for i = 1 to 140 do
+    ignore (place (json_line "trans-crotonic" (distinct i)) : string)
+  done;
+  Alcotest.(check string) "re-sent after eviction, same key" first
+    (place (json_line "trans-crotonic" (distinct 0)))
 
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                        *)
@@ -365,6 +439,147 @@ let test_request_validation () =
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
+(* Generator specs build a dense delay matrix, so sizes past the vertex
+   cap are refused before anything of that size is allocated — including
+   products that would wrap past [max_int]. *)
+let test_generator_cap () =
+  let oversized =
+    [
+      "grid:100000:100000";
+      "chain:1025";
+      "grid:33:32";
+      "grid:1:1025";
+      Printf.sprintf "chain:%d" max_int;
+      Printf.sprintf "grid:%d:4" (max_int / 2);
+      "grid:3037000500:3037000500";
+    ]
+  in
+  List.iter
+    (fun spec ->
+      let before = Gc.minor_words () in
+      (match Protocol.resolve_env spec with
+      | Ok _ -> Alcotest.failf "%s: should be rejected" spec
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error names the cap" spec)
+          true
+          (Helpers.contains ~needle:"capped" msg));
+      (* Building even the smallest refused size, 1,025 vertices, takes
+         over 10^6 words. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: refused before allocating" spec)
+        true
+        (Gc.minor_words () -. before < 10_000.0))
+    oversized;
+  let eng = engine ~jobs:0 () in
+  List.iter
+    (fun spec ->
+      let line =
+        Printf.sprintf
+          "{\"id\":\"big\",\"op\":\"place\",\"env\":\"%s\",\"circuit\":\"qft6\"}"
+          spec
+      in
+      match Engine.parse_line eng line with
+      | { Protocol.id = "big"; request = Error _ } -> ()
+      | _ -> Alcotest.failf "%s: expected an error envelope" spec)
+    oversized;
+  (* The bound itself is servable. *)
+  List.iter
+    (fun spec ->
+      match Protocol.resolve_env spec with
+      | Ok (env, _) ->
+        Alcotest.(check int) (spec ^ " size") Protocol.max_generated_vertices
+          (Qcp_env.Environment.size env)
+      | Error msg -> Alcotest.failf "%s: %s" spec msg)
+    [ "chain:1024"; "grid:32:32" ]
+
+(* ------------------------------------------------------------------ *)
+(* Hostile request lines                                               *)
+(* ------------------------------------------------------------------ *)
+
+let valid_place_lines =
+  [
+    line_qft6;
+    "{\"id\":\"x\",\"op\":\"place\",\"env\":\"grid:3:3\",\"circuit\":\"aqft9\",\"deadline\":5,\"telemetry\":true,\"options\":{\"threshold\":100,\"monomorphisms\":8,\"lookahead\":false,\"router\":\"token\",\"reuse_cap\":2,\"window\":16,\"strategies\":[\"greedy\"]}}";
+    "{\"op\":\"place\",\"env\":\"name e\\nnuclei a b\\ncoupling a b 10\\n\",\"circuit\":\"qubits 2\\ncnot 0 1\\n\"}";
+  ]
+
+(* One field of a valid place line replaced by a value of every other
+   JSON type. *)
+let wrong_type_lines =
+  let values =
+    [ Json.Null; Json.Bool true; Json.Num 3.5; Json.Str "x"; Json.Arr [ Json.Num 1.0 ];
+      Json.Obj [ ("k", Json.Num 1.0) ] ]
+  in
+  let replace fields name v =
+    List.map (fun (n, old) -> (n, if n = name then v else old)) fields
+  in
+  List.concat_map
+    (fun line ->
+      match Json.parse line with
+      | Ok (Json.Obj fields) ->
+        let options =
+          match List.assoc_opt "options" fields with
+          | Some (Json.Obj o) -> o
+          | _ -> []
+        in
+        List.concat_map
+          (fun v ->
+            List.map (fun (name, _) -> Json.to_string (Json.Obj (replace fields name v))) fields
+            @ List.map
+                (fun (name, _) ->
+                  Json.to_string
+                    (Json.Obj (replace fields "options" (Json.Obj (replace options name v)))))
+                options)
+          values
+      | _ -> [])
+    valid_place_lines
+
+(* Oversized, overflowing and malformed generator specs. *)
+let generator_spec_lines =
+  List.map
+    (fun spec ->
+      Printf.sprintf "{\"op\":\"place\",\"env\":\"%s\",\"circuit\":\"qft6\"}" spec)
+    [ "grid:100000:100000"; "chain:99999999999999999999"; "grid:-1:5"; "chain:0";
+      "grid:4611686018427387903:2"; "grid:2:2:2"; "chain:" ]
+
+(* [Engine.parse_line] — the memoized path the daemon runs on every
+   line — answers any input with an envelope; it never raises. *)
+let qcheck_parse_line_total =
+  let eng = engine ~jobs:0 () in
+  let truncations =
+    List.concat_map
+      (fun l -> List.init (String.length l) (fun n -> String.sub l 0 n))
+      valid_place_lines
+  in
+  let pick l = QCheck.Gen.oneofl l in
+  let gen =
+    QCheck.Gen.oneof
+      [
+        QCheck.Gen.string_size ~gen:QCheck.Gen.char (QCheck.Gen.int_bound 64);
+        pick truncations;
+        pick wrong_type_lines;
+        pick generator_spec_lines;
+      ]
+  in
+  QCheck.Test.make ~name:"Engine.parse_line answers every line with an envelope"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun line ->
+      match Engine.parse_line eng line with
+      | { Protocol.request = Ok _ | Error _; _ } -> true)
+
+let test_parse_line_truncations () =
+  let eng = engine ~jobs:0 () in
+  List.iter
+    (fun line ->
+      for n = 0 to String.length line - 1 do
+        match (Engine.parse_line eng (String.sub line 0 n)).Protocol.request with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%S: a truncated line parsed" (String.sub line 0 n)
+      done)
+    valid_place_lines
+
 (* ------------------------------------------------------------------ *)
 (* Socket daemon smoke                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -435,4 +650,11 @@ let suite =
     Alcotest.test_case "request validation" `Quick test_request_validation;
     Alcotest.test_case "socket daemon round trip" `Quick test_socket_roundtrip;
     Alcotest.test_case "admission control overload" `Quick test_socket_overload;
+    Alcotest.test_case "memoized keys equal Protocol.key" `Quick
+      test_memo_keys_match_reference;
+    Alcotest.test_case "generator specs capped before allocation" `Quick
+      test_generator_cap;
+    Alcotest.test_case "every truncated place line is an error" `Quick
+      test_parse_line_truncations;
+    QCheck_alcotest.to_alcotest qcheck_parse_line_total;
   ]
