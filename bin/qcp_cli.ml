@@ -104,26 +104,15 @@ let threshold_arg =
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
       sequential limit commute balance no_cache no_bounded window coarsen
-      root_cap spill vcycle jobs parallel parallel_enum portfolio deadline
+      root_cap spill vcycle jobs portfolio deadline
       strategies learn env =
     let threshold =
       match threshold with
       | Some th -> th
       | None -> Environment.min_threshold_connected env
     in
-    (* --jobs wins; the deprecated --parallel/--parallel-enum aliases fall
-       back to the larger of the two; with neither, QCP_JOBS (the
-       Options.default initializer) decides. *)
-    if parallel > 0 then ignore (Qcp.Options.warn_deprecated "--parallel" : bool);
-    if parallel_enum > 0 then
-      ignore (Qcp.Options.warn_deprecated "--parallel-enum" : bool);
     let jobs =
-      match jobs with
-      | Some j -> j
-      | None -> (
-        match max parallel parallel_enum with
-        | 0 -> Qcp_util.Task_pool.env_jobs ()
-        | j -> j)
+      match jobs with Some j -> j | None -> Qcp_util.Task_pool.env_jobs ()
     in
     {
       (Qcp.Options.default ~threshold) with
@@ -251,14 +240,6 @@ let options_term =
                enumeration, subtree routing) on this many domains of the \
                shared pool (0 or 1 = sequential).  Placements are identical \
                at any value.  Defaults to $(b,QCP_JOBS), else 0.")
-    $ Arg.(
-        value & opt int 0
-        & info [ "parallel" ] ~docv:"DOMAINS"
-            ~doc:"Deprecated alias for $(b,--jobs).")
-    $ Arg.(
-        value & opt int 0
-        & info [ "parallel-enum" ] ~docv:"DOMAINS"
-            ~doc:"Deprecated alias for $(b,--jobs).")
     $ Arg.(
         value & flag
         & info [ "portfolio" ]

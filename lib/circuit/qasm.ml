@@ -156,7 +156,10 @@ let parse text =
       gates := Gate.zz a b (angle ()) :: !gates
     | other -> fail lineno (Printf.sprintf "unsupported gate %S" other)
   in
-  List.iter handle statements;
+  List.iter
+    (fun ((lineno, _) as stmt) ->
+      try handle stmt with Invalid_argument msg -> fail lineno msg)
+    statements;
   if header.size = 0 then fail 1 "missing qreg declaration";
   (try Circuit.make ~qubits:header.size (List.rev !gates)
    with Invalid_argument msg -> fail 1 msg)

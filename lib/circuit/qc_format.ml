@@ -56,7 +56,11 @@ let parse text =
         qubits := Some (parse_int lineno count)
       | words ->
         if !qubits = None then fail lineno "gate before qubits declaration";
-        gates := parse_gate lineno words :: !gates)
+        let gate =
+          try parse_gate lineno words
+          with Invalid_argument msg -> fail lineno msg
+        in
+        gates := gate :: !gates)
     lines;
   match !qubits with
   | None -> fail 1 "missing qubits declaration"

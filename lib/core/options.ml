@@ -109,24 +109,6 @@ let canonical t =
   flag "learn" t.portfolio_learn;
   Buffer.contents b
 
-let deprecation_message ~alias =
-  Printf.sprintf
-    "warning: %s is deprecated and will be removed; use --jobs (or QCP_JOBS) \
-     instead"
-    alias
-
-(* One warning per alias per process, however many times options are
-   constructed (threshold sweeps re-evaluate the CLI options function). *)
-let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-
-let warn_deprecated ?(ppf = Format.err_formatter) alias =
-  if Hashtbl.mem warned alias then false
-  else begin
-    Hashtbl.add warned alias ();
-    Format.fprintf ppf "%s@." (deprecation_message ~alias);
-    true
-  end
-
 let fast ~threshold =
   {
     threshold;

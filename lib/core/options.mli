@@ -122,9 +122,7 @@ type t = {
           sequentially.  Placements are bit-identical at any [jobs] value:
           sweeps keep the earliest-tie argmin, enumeration merges partition
           results in candidate order, and subtree routes are pure value
-          combinations.  Replaces the former [parallel_scoring] and
-          [parallel_enumeration] fields (CLI [--parallel]/[--parallel-enum]
-          remain as deprecated aliases for [--jobs]).  [default] and [fast]
+          combinations.  [default] and [fast]
           initialize this from the [QCP_JOBS] environment variable
           ({!Qcp_util.Task_pool.env_jobs}), 0 when unset. *)
   portfolio : bool;
@@ -179,14 +177,3 @@ val canonical : t -> string
     request keys rely on.  [jobs] is excluded on purpose: placements are
     bit-identical at any jobs value, so results may be shared across
     requests that differ only in their parallelism budget. *)
-
-val deprecation_message : alias:string -> string
-(** The exact warning text emitted for a deprecated CLI alias (e.g.
-    ["--parallel"]), exposed so tests can pin it. *)
-
-val warn_deprecated : ?ppf:Format.formatter -> string -> bool
-(** [warn_deprecated alias] prints {!deprecation_message} to [ppf]
-    (default [Format.err_formatter]) the {e first} time it is called for
-    [alias] in this process and returns whether it printed.  Subsequent
-    calls for the same alias are silent — threshold sweeps and repeated
-    option construction must not repeat the warning. *)

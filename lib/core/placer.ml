@@ -119,36 +119,63 @@ let units_per_second = 10000.0
 
 module Telemetry = Qcp_obs.Metrics
 
-(* Wall seconds per pipeline phase, accumulated by sequential orchestration
-   code only.  {!balance_boundaries} gives its trial pipelines a fresh
-   record so trial phases don't double-count against the real ones. *)
-type phase_times = {
-  ph_split : float ref;
-  ph_enumerate : float ref;
-  ph_greedy : float ref;
-  ph_lookahead : float ref;
-  ph_fine_tune : float ref;
-  ph_route : float ref;
-  ph_balance : float ref;
+(* The "per-run" registry is cached per domain and zeroed at the start of
+   every [place]: registry construction and handle interning cost more
+   than a micro placement's whole pipeline, while a reset is ~ten atomic
+   stores.  Safe because [place] runs to completion on its calling domain
+   and never re-enters — concurrent [place_batch] jobs run whole jobs on
+   distinct pool participants, and nested parallel regions serialize
+   inline rather than migrating work mid-run.  Counters are atomic cells,
+   so parallel candidate evaluation shares them; the gauges are only
+   written by sequential orchestration code. *)
+type run_metrics = {
+  rm_registry : Telemetry.t;
+  rm_enumerations : Telemetry.counter;
+  rm_scored : Telemetry.counter;
+  rm_pruned : Telemetry.counter;
+  rm_bound_skips : Telemetry.counter;
+  rm_early_exits : Telemetry.counter;
+  rm_routed : Telemetry.counter;
+  rm_peer_pruned : Telemetry.counter;
+      (* Stage sweeps and pipeline aborts cut short by a portfolio peer's
+         incumbent (as opposed to this run's own). *)
+  rm_scoring : Telemetry.gauge; (* wall seconds spent scoring candidates *)
+  rm_split : Telemetry.gauge;
+  rm_enumerate : Telemetry.gauge;
+  rm_greedy : Telemetry.gauge;
+  rm_lookahead : Telemetry.gauge;
+  rm_fine_tune : Telemetry.gauge;
+  rm_route : Telemetry.gauge;
+  rm_balance : Telemetry.gauge;
 }
 
-let make_phase_times () =
-  {
-    ph_split = ref 0.0;
-    ph_enumerate = ref 0.0;
-    ph_greedy = ref 0.0;
-    ph_lookahead = ref 0.0;
-    ph_fine_tune = ref 0.0;
-    ph_route = ref 0.0;
-    ph_balance = ref 0.0;
-  }
+let phase_prefix = "placer.phase."
 
-(* Internal context shared by the pipeline.  Search counters live in a
-   per-run {!Qcp_obs.Metrics} registry (each handle is one atomic cell, so
-   parallel candidate evaluation shares them exactly like the plain atomics
-   they replaced); the remaining refs are only touched by sequential
-   orchestration code.  Per-run registries keep concurrent {!place_batch}
-   jobs from contaminating each other's {!stats}; every run's registry is
+let run_metrics_key =
+  Domain.DLS.new_key (fun () ->
+      let t = Telemetry.create () in
+      let phase name = Telemetry.gauge t (phase_prefix ^ name ^ ".seconds") in
+      {
+        rm_registry = t;
+        rm_enumerations = Telemetry.counter t "placer.enumerations";
+        rm_scored = Telemetry.counter t "placer.candidates_scored";
+        rm_pruned = Telemetry.counter t "placer.candidates_pruned";
+        rm_bound_skips = Telemetry.counter t "placer.lower_bound_skips";
+        rm_early_exits = Telemetry.counter t "placer.timing_early_exits";
+        rm_routed = Telemetry.counter t "placer.networks_routed";
+        rm_peer_pruned = Telemetry.counter t "placer.pruned_by_peer";
+        rm_scoring = Telemetry.gauge t "placer.scoring.seconds";
+        rm_split = phase "split";
+        rm_enumerate = phase "enumerate";
+        rm_greedy = phase "greedy";
+        rm_lookahead = phase "lookahead";
+        rm_fine_tune = phase "fine_tune";
+        rm_route = phase "route";
+        rm_balance = phase "balance";
+      })
+
+(* Internal context shared by the pipeline.  Search counters and phase
+   clocks live in the per-run registry [c_run]; every run's registry is
    merged into {!Qcp_obs.Metrics.global} when the run finishes while
    telemetry is armed. *)
 type ctx = {
@@ -158,18 +185,13 @@ type ctx = {
   c_weights : Timing.weights;
   c_m : int; (* environment size *)
   c_n : int; (* circuit qubits *)
-  c_metrics : Telemetry.t;
+  c_run : run_metrics;
+  c_trial : bool;
+      (* A boundary-balancing trial pipeline: its time is the balance
+         phase's, so its own phases leave the phase clocks alone. *)
   c_oracle : int ref; (* threaded into {!Workspace.split} *)
-  c_enumerations : Telemetry.counter;
-  c_scored : Telemetry.counter;
-  c_pruned : Telemetry.counter;
-  c_bound_skips : Telemetry.counter;
-  c_early_exits : Telemetry.counter;
-  c_routed : Telemetry.counter;
-  c_phases : phase_times;
   c_cache : Score_cache.t;
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
-  c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
   c_dist : int array array;
       (* All-pairs BFS distances over the adjacency graph: displaced
          inactive qubits move to the nearest free vertex. *)
@@ -193,51 +215,16 @@ type ctx = {
   c_deadline : float;
       (* Absolute {!Qcp_util.Clock} instant after which the pipeline
          aborts between stages ([infinity]: never, and no clock reads). *)
-  c_peer_pruned : Telemetry.counter;
-      (* Stage sweeps and pipeline aborts cut short by [c_shared] (as
-         opposed to this run's own incumbent). *)
   c_stream_mode : bool;
-      (* Set by the spilled streaming driver: route entries bypass the
-         cross-run shared registry and go through this run's private
-         table, which {!run_streaming} trims after every stage.  On a
-         large register each cached entry carries a full-register SWAP
-         circuit, so letting a multi-thousand-stage run feed the
-         process-lifetime registry would grow the heap with gate count —
-         exactly what spill mode promises not to do.  Pure memoization
-         either way: placements are unaffected. *)
+      (* Set on a spilled run: route entries bypass the cross-run shared
+         registry and go through this run's private table, which {!drive}
+         trims after every stage.  On a large register each cached entry
+         carries a full-register SWAP circuit, so letting a
+         multi-thousand-stage run feed the process-lifetime registry would
+         grow the heap with gate count — exactly what spill mode promises
+         not to do.  Pure memoization either way: placements are
+         unaffected. *)
 }
-
-(* The "per-run" registry is cached per domain and zeroed at the start of
-   every [place]: registry construction and handle interning cost more
-   than a micro placement's whole pipeline, while a reset is ~ten atomic
-   stores.  Safe because [place] runs to completion on its calling domain
-   and never re-enters — concurrent [place_batch] jobs run whole jobs on
-   distinct pool participants, and nested parallel regions serialize
-   inline rather than migrating work mid-run. *)
-type run_metrics = {
-  rm_registry : Telemetry.t;
-  rm_enumerations : Telemetry.counter;
-  rm_scored : Telemetry.counter;
-  rm_pruned : Telemetry.counter;
-  rm_bound_skips : Telemetry.counter;
-  rm_early_exits : Telemetry.counter;
-  rm_routed : Telemetry.counter;
-  rm_peer_pruned : Telemetry.counter;
-}
-
-let run_metrics_key =
-  Domain.DLS.new_key (fun () ->
-      let t = Telemetry.create () in
-      {
-        rm_registry = t;
-        rm_enumerations = Telemetry.counter t "placer.enumerations";
-        rm_scored = Telemetry.counter t "placer.candidates_scored";
-        rm_pruned = Telemetry.counter t "placer.candidates_pruned";
-        rm_bound_skips = Telemetry.counter t "placer.lower_bound_skips";
-        rm_early_exits = Telemetry.counter t "placer.timing_early_exits";
-        rm_routed = Telemetry.counter t "placer.networks_routed";
-        rm_peer_pruned = Telemetry.counter t "placer.pruned_by_peer";
-      })
 
 (* The registry is reset at the start of every [place] and runs never
    migrate domains, so right after a [place] returns this reads that run's
@@ -250,25 +237,28 @@ let last_peer_prunes () =
 let timed ctx f =
   let t0 = Unix.gettimeofday () in
   let result = f () in
-  ctx.c_scoring_time := !(ctx.c_scoring_time) +. (Unix.gettimeofday () -. t0);
+  Telemetry.accumulate ctx.c_run.rm_scoring (Unix.gettimeofday () -. t0);
   result
 
-(* Run one pipeline phase: a trace span when recording, wall time into
-   its accumulator when metrics or tracing are armed.  Only sequential
-   orchestration code runs phases, so the plain ref is safe; with
-   telemetry fully off the cost is two atomic loads and a branch — the
+(* The phase clocks run only while metrics or tracing are armed; with
+   telemetry fully off a phase costs two atomic loads and a branch — the
    clock reads would otherwise dominate micro placements. *)
-let in_phase cell ~name f =
-  if Telemetry.enabled () || Qcp_obs.Trace.enabled () then begin
+let clocks_on () = Telemetry.enabled () || Qcp_obs.Trace.enabled ()
+
+(* Run one pipeline phase: a trace span, and its wall time added to the
+   [phase] gauge, when the clocks are on. *)
+let in_phase ctx phase ~name f =
+  if clocks_on () then begin
     let t0 = Unix.gettimeofday () in
     let result = Qcp_obs.Trace.with_span ~cat:"placer" name f in
-    cell := !cell +. (Unix.gettimeofday () -. t0);
+    if not ctx.c_trial then
+      Telemetry.accumulate phase (Unix.gettimeofday () -. t0);
     result
   end
   else f ()
 
 let route_network ctx perm =
-  Telemetry.incr ctx.c_routed;
+  Telemetry.incr ctx.c_run.rm_routed;
   let leaf_override = ctx.c_options.Options.leaf_override in
   (* An unweighted bisection route is a pure function of the graph, the
      leaf-override flag and the permutation, so both its subset structure
@@ -411,7 +401,7 @@ let connecting_stage ctx ~prev placement =
    connecting SWAP stage, then the subcircuit.  Returns the network, the
    updated clock and the makespan. *)
 let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
-  Telemetry.incr ctx.c_scored;
+  Telemetry.incr ctx.c_run.rm_scored;
   let entry = connecting_stage ctx ~prev placement in
   let after_swaps =
     match entry with
@@ -446,7 +436,7 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
    is exact whenever it is [<= cutoff]. *)
 let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
     ~phys_start ~prev ~subcircuit placement =
-  Telemetry.incr ctx.c_scored;
+  Telemetry.incr ctx.c_run.rm_scored;
   let model = ctx.c_options.Options.model in
   let reuse_cap = ctx.c_options.Options.reuse_cap in
   let place q = placement.(q) in
@@ -457,7 +447,7 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
       ~place scratch circuit
   in
   let refute () =
-    Telemetry.incr ctx.c_early_exits;
+    Telemetry.incr ctx.c_run.rm_early_exits;
     infinity
   in
   let swap_free () =
@@ -586,7 +576,7 @@ let candidate_scores ?(cutoff = infinity) ctx score arr =
     let incumbent = incumbent_make cutoff in
     sweep_scores ctx total (fun scratch i ->
         let s = score scratch ~cutoff:(incumbent_get incumbent) arr.(i) in
-        if s = infinity then Telemetry.incr ctx.c_pruned
+        if s = infinity then Telemetry.incr ctx.c_run.rm_pruned
         else incumbent_submit incumbent s;
         s)
   end
@@ -629,7 +619,7 @@ let scale_bounds =
 
 let observe_scale ctx name v =
   Telemetry.observe
-    (Telemetry.histogram ~bounds:scale_bounds ctx.c_metrics name)
+    (Telemetry.histogram ~bounds:scale_bounds ctx.c_run.rm_registry name)
     v
 
 (* Hill-climbing fine tuning (paper Section 5.1, "fine tuning"): move each
@@ -712,7 +702,7 @@ let fine_tune ctx ~phys_start ~prev ~subcircuit placement =
   current
 
 let enumerate_mappings ctx ~subcircuit =
-  Telemetry.incr ctx.c_enumerations;
+  Telemetry.incr ctx.c_run.rm_enumerations;
   Score_cache.mappings ctx.c_cache subcircuit ~enumerate:(fun subcircuit ->
       let pattern = Score_cache.interaction_graph ctx.c_cache subcircuit in
       Monomorph.enumerate ~limit:ctx.c_options.Options.monomorphism_limit
@@ -779,7 +769,7 @@ let scale_mappings ctx ~prev ~hint ~subcircuit =
         in
         observe_scale ctx "placer.scale.region_size"
           (float_of_int (List.length region));
-        Telemetry.incr ctx.c_enumerations;
+        Telemetry.incr ctx.c_run.rm_enumerations;
         let sub, back = Graph.induced ctx.c_adjacency region in
         let mapped =
           Monomorph.enumerate ~limit:ctx.c_options.Options.monomorphism_limit
@@ -847,14 +837,14 @@ let pick_greedy ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
         let limit = incumbent_get incumbent in
         let s =
           if bounds.(i) > limit then begin
-            Telemetry.incr ctx.c_bound_skips;
+            Telemetry.incr ctx.c_run.rm_bound_skips;
             infinity
           end
           else
             score_makespan ~cutoff:limit ~prebound:false ctx ~scratch
               ~phys_start ~prev ~subcircuit arr.(i)
         in
-        if s = infinity then Telemetry.incr ctx.c_pruned
+        if s = infinity then Telemetry.incr ctx.c_run.rm_pruned
         else begin
           incumbent_submit incumbent s;
           (* A completed sweep leaves the exact finish clocks loaded
@@ -971,7 +961,7 @@ let pick_lookahead ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
         let limit = incumbent_get incumbent in
         let s =
           if bounds.(i) > limit then begin
-            Telemetry.incr ctx.c_bound_skips;
+            Telemetry.incr ctx.c_run.rm_bound_skips;
             infinity
           end
           else
@@ -979,7 +969,7 @@ let pick_lookahead ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
               ~stage1:bounds.(i) ~placement:arr.(i) ~next_subcircuit
               ~next_mappings
         in
-        if s = infinity then Telemetry.incr ctx.c_pruned
+        if s = infinity then Telemetry.incr ctx.c_run.rm_pruned
         else incumbent_submit incumbent s;
         scores.(i) <- s;
         s
@@ -999,14 +989,13 @@ let msg_peer_pruned = "a portfolio peer's incumbent refutes this pipeline"
 
 exception Pipeline_failure of string
 
-(* One pipeline stage, shared verbatim between the materialized driver
-   ({!run_pipeline}) and the streaming spill driver ({!run_streaming}):
-   enumerate candidates, pick (greedy, or depth-2 lookahead when a
-   successor stage is in hand), fine-tune under the lookahead judge,
-   route/re-time, and apply the cutoff / deadline / peer-incumbent abort
-   protocol.  Returns the connecting network (already filtered: [None]
-   when empty or first stage), the chosen placement and the stage's finish
-   clocks; raises {!Pipeline_failure} on any abort.
+(* One pipeline stage, run by {!drive}: enumerate candidates, pick
+   (greedy, or depth-2 lookahead when a successor stage is in hand),
+   fine-tune under the lookahead judge, route/re-time, and apply the
+   cutoff / deadline / peer-incumbent abort protocol.  Returns the
+   connecting network (already filtered: [None] when empty or first
+   stage), the chosen placement and the stage's finish clocks; raises
+   {!Pipeline_failure} on any abort.
 
    A finite [cutoff] (used by the boundary-refinement trials) seeds the
    stage's incumbent and aborts as soon as the running makespan provably
@@ -1028,7 +1017,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     raise (Pipeline_failure msg_deadline);
   let options = ctx.c_options in
   let candidates =
-    in_phase ctx.c_phases.ph_enumerate ~name:"placer/enumerate" (fun () ->
+    in_phase ctx ctx.c_run.rm_enumerate ~name:"placer/enumerate" (fun () ->
         enumerate_candidates ?hint ctx ~prev ~subcircuit)
   in
   let next_mappings =
@@ -1036,7 +1025,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     | Some next when options.Options.lookahead ->
       Some
         ( next,
-          in_phase ctx.c_phases.ph_enumerate ~name:"placer/enumerate"
+          in_phase ctx ctx.c_run.rm_enumerate ~name:"placer/enumerate"
             (fun () -> enumerate_mappings ctx ~subcircuit:next) )
     | Some _ | None -> None
   in
@@ -1044,12 +1033,12 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     timed ctx (fun () ->
         match next_mappings with
         | Some (next_subcircuit, next_mappings) ->
-          in_phase ctx.c_phases.ph_lookahead ~name:"placer/lookahead"
+          in_phase ctx ctx.c_run.rm_lookahead ~name:"placer/lookahead"
             (fun () ->
               pick_lookahead ~cutoff ctx ~phys_start ~prev ~subcircuit
                 ~next_subcircuit ~next_mappings candidates)
         | None ->
-          in_phase ctx.c_phases.ph_greedy ~name:"placer/greedy" (fun () ->
+          in_phase ctx ctx.c_run.rm_greedy ~name:"placer/greedy" (fun () ->
               pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates))
   in
   let chosen =
@@ -1060,7 +1049,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
       if eff >= cutoff then pick cutoff
       else begin
         (* The peer value tightens this stage's sweep. *)
-        Telemetry.incr ctx.c_peer_pruned;
+        Telemetry.incr ctx.c_run.rm_peer_pruned;
         match pick eff with
         | Some (_, _, best) when best = infinity ->
           (* The peer bound pruned the whole sweep, which refutes
@@ -1096,12 +1085,12 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     let tuned =
       timed ctx (fun () ->
           if options.Options.fine_tune_passes > 0 then
-            in_phase ctx.c_phases.ph_fine_tune ~name:"placer/fine-tune" tune
+            in_phase ctx ctx.c_run.rm_fine_tune ~name:"placer/fine-tune" tune
           else placement)
     in
     let network, finish, makespan =
       timed ctx (fun () ->
-          in_phase ctx.c_phases.ph_route ~name:"placer/route" (fun () ->
+          in_phase ctx ctx.c_run.rm_route ~name:"placer/route" (fun () ->
               match picked_finish with
               | Some finish when tuned = placement ->
                 (* The pick already timed this exact placement: the
@@ -1123,7 +1112,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
        seeded reduce stays schedule-independent. *)
     (match ctx.c_shared with
     | Some shared when makespan > incumbent_get shared ->
-      Telemetry.incr ctx.c_peer_pruned;
+      Telemetry.incr ctx.c_run.rm_peer_pruned;
       raise (Pipeline_failure msg_peer_pruned)
     | Some _ | None -> ());
     let network =
@@ -1131,55 +1120,42 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     in
     (network, tuned, finish)
 
-(* The main stage loop: place each subcircuit in order, connecting
-   consecutive placements with SWAP networks.  Returns the stage list and
-   the final makespan. *)
-let run_pipeline ?cutoff ?hints ctx subcircuits =
-  let subs = Array.of_list subcircuits in
-  let count = Array.length subs in
-  let stages = ref [] in
-  let phys_start = ref (Array.make ctx.c_m 0.0) in
-  let prev = ref None in
-  try
-    for i = 0 to count - 1 do
-      let hint =
-        match hints with
-        | Some h when i < Array.length h -> h.(i)
-        | Some _ | None -> None
-      in
-      let next_subcircuit = if i + 1 < count then Some subs.(i + 1) else None in
-      let network, tuned, finish =
-        place_one ?cutoff ctx ~phys_start:!phys_start ~prev:!prev ~hint
-          ~subcircuit:subs.(i) ~next_subcircuit
-      in
-      (match network with
-      | Some net -> stages := Permute net :: !stages
-      | None -> ());
-      stages := Compute { placement = tuned; circuit = subs.(i) } :: !stages;
-      phys_start := finish;
-      prev := Some tuned
-    done;
-    Ok (List.rev !stages, Array.fold_left Float.max 0.0 !phys_start)
-  with Pipeline_failure msg -> Error msg
+(* A stage source feeds the driver each subcircuit, in order, with its
+   optional splitter witness; it returns [Error] when stage formation
+   fails.  The in-memory path feeds an already-split list
+   ({!list_source}); the spill path streams {!Workspace.fold_windowed}. *)
+type source = (Circuit.t -> int array option -> unit) -> (unit, string) result
 
-(* Streaming spill driver: stages flow straight out of
-   {!Workspace.fold_windowed} into {!place_one} and leave through the
-   [sink] the moment they are placed, so the only per-stage state ever
-   live is a one-stage lag buffer — depth-2 lookahead needs the successor
-   subcircuit, so stage [i] is placed when stage [i+1] closes (the final
-   stage is placed lookahead-free, exactly like the materialized driver's
-   last iteration).  Stage formation is deterministic and independent of
-   placement, so the (subcircuit, hint, successor) triples handed to
-   {!place_one} are identical to the materialized windowed run's, and the
-   emitted placements are bit-identical to it.
+let list_source ?hints subcircuits stage =
+  let hint i =
+    match hints with
+    | Some h when i < Array.length h -> h.(i)
+    | Some _ | None -> None
+  in
+  List.iteri (fun i sub -> stage sub (hint i)) subcircuits;
+  Ok ()
 
-   Peak heap is O(window + environment) beyond the input circuit and
-   whatever the sink itself retains: the split's deferral window, the lag
-   buffer, one candidate set, and the score cache (bounded by distinct
-   interaction patterns and placements).  One honest caveat: because
-   splitting and placing interleave, the ["split"] phase gauge reads 0 in
-   this mode — split time is indistinguishable from pipeline time. *)
-let run_streaming ctx ~window ~sink circuit =
+(* The stage loop: stages flow from [source] into {!place_one} and leave
+   through [sink] the moment they are placed, connecting consecutive
+   placements with SWAP networks.  The only per-stage state ever live is
+   a one-stage lag buffer — depth-2 lookahead needs the successor
+   subcircuit, so stage [i] is placed when stage [i+1] arrives and the
+   final stage is placed lookahead-free.  Stage formation is
+   deterministic and independent of placement, so a streamed windowed
+   source hands {!place_one} the same (subcircuit, hint, successor)
+   triples as the same split materialized up front, and the placements
+   are bit-identical.
+
+   On a spilled run peak heap is O(window + environment) beyond the input
+   circuit and whatever the sink itself retains: the split's deferral
+   window, the lag buffer, one candidate set, and the score cache, whose
+   per-run route table is trimmed after every stage.  Because splitting
+   and placing interleave there, the ["split"] phase gauge reads 0 —
+   split time is indistinguishable from pipeline time.
+
+   Returns the run's {!summary}; [Error] on a formation failure or any
+   {!Pipeline_failure} abort.  [sink] is closed either way. *)
+let drive ?cutoff ctx ~sink (source : source) =
   let phys_start = ref (Array.make ctx.c_m 0.0) in
   let prev = ref None in
   let index = ref 0 in
@@ -1188,15 +1164,14 @@ let run_streaming ctx ~window ~sink circuit =
   let swap_depth = ref 0 in
   let swap_count = ref 0 in
   let first = ref None in
-  let last = ref None in
   let pending = ref None in
   let flush ~next_subcircuit =
     match !pending with
     | None -> ()
     | Some (subcircuit, hint) ->
       let network, tuned, finish =
-        place_one ctx ~phys_start:!phys_start ~prev:!prev ~hint ~subcircuit
-          ~next_subcircuit
+        place_one ?cutoff ctx ~phys_start:!phys_start ~prev:!prev ~hint
+          ~subcircuit ~next_subcircuit
       in
       (match network with
       | Some net ->
@@ -1213,42 +1188,34 @@ let run_streaming ctx ~window ~sink circuit =
       incr index;
       incr computes;
       if !first = None then first := Some (Array.copy tuned);
-      last := Some tuned;
       phys_start := finish;
       prev := Some tuned;
       pending := None;
       (* Connecting permutations are rarely shared across stages, so the
          per-run route table would otherwise be the one structure growing
          with gate count; trimming costs only recomputation. *)
-      Score_cache.trim ctx.c_cache
+      if ctx.c_stream_mode then Score_cache.trim ctx.c_cache
   in
-  let outcome =
-    Fun.protect ~finally:sink.Spill.close @@ fun () ->
-    try
-      Result.map
-        (fun () -> flush ~next_subcircuit:None)
-        (Workspace.fold_windowed ~oracle_calls:ctx.c_oracle ~window
-           ~adjacency:ctx.c_adjacency ~init:()
-           ~stage:(fun () (subcircuit, witness) ->
-             observe_scale ctx "placer.scale.window_fill"
-               (float_of_int (Circuit.gate_count subcircuit));
-             flush ~next_subcircuit:(Some subcircuit);
-             pending := Some (subcircuit, witness))
-           circuit)
-    with Pipeline_failure msg -> Error msg
-  in
-  Result.map
-    (fun () ->
-      {
-        sm_computes = !computes;
-        sm_networks = !networks;
-        sm_swap_depth = !swap_depth;
-        sm_swap_count = !swap_count;
-        sm_makespan = Array.fold_left Float.max 0.0 !phys_start;
-        sm_first = !first;
-        sm_last = !last;
-      })
-    outcome
+  Fun.protect ~finally:sink.Spill.close @@ fun () ->
+  try
+    source (fun subcircuit hint ->
+        if ctx.c_options.Options.window <> None then
+          observe_scale ctx "placer.scale.window_fill"
+            (float_of_int (Circuit.gate_count subcircuit));
+        flush ~next_subcircuit:(Some subcircuit);
+        pending := Some (subcircuit, hint))
+    |> Result.map (fun () ->
+           flush ~next_subcircuit:None;
+           {
+             sm_computes = !computes;
+             sm_networks = !networks;
+             sm_swap_depth = !swap_depth;
+             sm_swap_count = !swap_count;
+             sm_makespan = Array.fold_left Float.max 0.0 !phys_start;
+             sm_first = !first;
+             sm_last = !prev;
+           })
+  with Pipeline_failure msg -> Error msg
 
 (* Boundary refinement (paper "further research"): the greedy split makes
    each computation stage maximal; donating a few trailing gates to the next
@@ -1268,10 +1235,10 @@ let balance_boundaries ctx subcircuits =
           Options.lookahead = false;
           fine_tune_passes = 0;
         };
-      (* Trial pipelines keep their own phase clocks: their time is the
-         balance phase's, not enumerate/greedy/route time of the real
-         pipeline.  Search counters intentionally stay shared. *)
-      c_phases = make_phase_times ();
+      (* Trial time is the balance phase's, not enumerate/greedy/route
+         time of the real pipeline.  Search counters intentionally stay
+         shared. *)
+      c_trial = true;
       (* Structural split decisions must not depend on a racing peer's
          schedule: trials prune only against their own incumbent makespan,
          so the boundary choice — hence the placement — is the same with
@@ -1280,8 +1247,11 @@ let balance_boundaries ctx subcircuits =
     }
   in
   let evaluate ?cutoff subs =
-    match run_pipeline ?cutoff cheap_ctx (Array.to_list subs) with
-    | Ok (_, makespan) -> makespan
+    match
+      drive ?cutoff cheap_ctx ~sink:Spill.null
+        (list_source (Array.to_list subs))
+    with
+    | Ok summary -> summary.sm_makespan
     | Error _ -> Float.infinity
   in
   let donate subs boundary =
@@ -1472,10 +1442,10 @@ let vcycle_refine ctx stage_list =
     done;
     observe_scale ctx "placer.scale.vcycle_moves" (float_of_int !moves);
     Telemetry.set
-      (Telemetry.gauge ctx.c_metrics "placer.scale.vcycle_passes")
+      (Telemetry.gauge ctx.c_run.rm_registry "placer.scale.vcycle_passes")
       (float_of_int !passes);
     Telemetry.set
-      (Telemetry.gauge ctx.c_metrics "placer.scale.vcycle_gain")
+      (Telemetry.gauge ctx.c_run.rm_registry "placer.scale.vcycle_gain")
       (initial -. !total);
     if !moves = 0 then stage_list
     else begin
@@ -1498,7 +1468,8 @@ let vcycle_refine ctx stage_list =
    {!stats} record is the thin compatibility view over the same registry
    reads. *)
 let finalize_metrics ctx =
-  let t = ctx.c_metrics in
+  let rm = ctx.c_run in
+  let t = rm.rm_registry in
   Telemetry.add (Telemetry.counter t "placer.oracle_calls") !(ctx.c_oracle);
   Telemetry.add
     (Telemetry.counter t "placer.route_cache.hits")
@@ -1506,9 +1477,6 @@ let finalize_metrics ctx =
   Telemetry.add
     (Telemetry.counter t "placer.route_cache.misses")
     (Score_cache.misses ctx.c_cache);
-  Telemetry.set
-    (Telemetry.gauge t "placer.scoring.seconds")
-    !(ctx.c_scoring_time);
   (* Only stamped when the run built the hierarchy, so classic runs'
      snapshots are unchanged. *)
   (match ctx.c_hier with
@@ -1517,35 +1485,30 @@ let finalize_metrics ctx =
       (Telemetry.gauge t "placer.scale.coarsen_levels")
       (float_of_int (Coarsen.levels hier))
   | None -> ());
-  (* The phase clocks only tick while telemetry is armed (see [in_phase]);
-     with it off the gauges would all read 0, so skip registering them —
-     [phase_seconds] treats absent gauges as an empty breakdown. *)
-  if Telemetry.enabled () || Qcp_obs.Trace.enabled () then begin
-    let phase name cell = Telemetry.set (Telemetry.gauge t name) !cell in
-    let p = ctx.c_phases in
-    phase "placer.phase.split.seconds" p.ph_split;
-    phase "placer.phase.enumerate.seconds" p.ph_enumerate;
-    phase "placer.phase.greedy.seconds" p.ph_greedy;
-    phase "placer.phase.lookahead.seconds" p.ph_lookahead;
-    phase "placer.phase.fine_tune.seconds" p.ph_fine_tune;
-    phase "placer.phase.route.seconds" p.ph_route;
-    phase "placer.phase.balance.seconds" p.ph_balance
-  end;
   let stats =
     {
       oracle_calls = !(ctx.c_oracle);
-      enumerations = Telemetry.count ctx.c_enumerations;
-      candidates_scored = Telemetry.count ctx.c_scored;
-      candidates_pruned = Telemetry.count ctx.c_pruned;
-      lower_bound_skips = Telemetry.count ctx.c_bound_skips;
-      timing_early_exits = Telemetry.count ctx.c_early_exits;
-      networks_routed = Telemetry.count ctx.c_routed;
+      enumerations = Telemetry.count rm.rm_enumerations;
+      candidates_scored = Telemetry.count rm.rm_scored;
+      candidates_pruned = Telemetry.count rm.rm_pruned;
+      lower_bound_skips = Telemetry.count rm.rm_bound_skips;
+      timing_early_exits = Telemetry.count rm.rm_early_exits;
+      networks_routed = Telemetry.count rm.rm_routed;
       route_cache_hits = Score_cache.hits ctx.c_cache;
       route_cache_misses = Score_cache.misses ctx.c_cache;
-      scoring_seconds = !(ctx.c_scoring_time);
+      scoring_seconds = Telemetry.gauge_value rm.rm_scoring;
     }
   in
   let snapshot = Telemetry.snapshot t in
+  (* With the clocks off the phase gauges all read 0, so they are left
+     out — [phase_seconds] treats absent gauges as an empty breakdown. *)
+  let snapshot =
+    if clocks_on () then snapshot
+    else
+      List.filter
+        (fun (name, _) -> not (String.starts_with ~prefix:phase_prefix name))
+        snapshot
+  in
   (* Folding into the process-global registry costs a pass over the
      global table under its lock, so it only happens when someone armed
      telemetry and will actually read the aggregate. *)
@@ -1571,6 +1534,19 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
     | Some adjacency -> (
       let rm = Domain.DLS.get run_metrics_key in
       Telemetry.reset rm.rm_registry;
+      (* Spill mode streams stages out of the windowed splitter straight
+         through the sink.  Armed only when a window is set — a classic
+         whole-circuit split has already materialized everything, so
+         spilling it would save nothing.  An explicit [?spill] sink takes
+         precedence over the options knob. *)
+      let spill_to =
+        match (options.Options.window, spill, options.Options.spill) with
+        | None, _, _ | Some _, None, Options.No_spill -> None
+        | Some window, Some sink, _ -> Some (window, sink)
+        | Some window, None, Options.Spill_file path ->
+          Some (window, Spill.file path)
+        | Some window, None, Options.Spill_drop -> Some (window, Spill.null)
+      in
       let ctx =
         {
           c_env = env;
@@ -1579,24 +1555,16 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
           c_weights = Environment.weights env;
           c_m = m;
           c_n = n;
-          c_metrics = rm.rm_registry;
+          c_run = rm;
+          c_trial = false;
           c_oracle = ref 0;
-          c_enumerations = rm.rm_enumerations;
-          c_scored = rm.rm_scored;
-          c_pruned = rm.rm_pruned;
-          c_bound_skips = rm.rm_bound_skips;
-          c_early_exits = rm.rm_early_exits;
-          c_routed = rm.rm_routed;
-          c_phases = make_phase_times ();
           c_shared = shared;
           c_deadline = deadline;
-          c_peer_pruned = rm.rm_peer_pruned;
-          c_stream_mode = false;
+          c_stream_mode = Option.is_some spill_to;
           c_cache =
             Score_cache.create ~enabled:options.Options.score_cache
               ~register:m ();
           c_scratch = Timing.make_scratch ();
-          c_scoring_time = ref 0.0;
           c_dist = Array.init m (fun v -> Paths.bfs_dist adjacency v);
           c_swap_bound =
             Swap_bound.make ?reuse_cap:options.Options.reuse_cap
@@ -1614,96 +1582,76 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
              else None);
         }
       in
-      (* Spill mode: stream stages out of the windowed splitter straight
-         through the sink; nothing below this branch runs.  Armed only
-         when a window is set — a classic whole-circuit split has already
-         materialized everything, so spilling it would save nothing. *)
-      let want_spill =
-        Option.is_some spill || options.Options.spill <> Options.No_spill
-      in
-      match options.Options.window with
-      | Some window when want_spill -> (
-        let sink =
-          match spill with
-          | Some sink -> sink
-          | None -> (
-            match options.Options.spill with
-            | Options.Spill_file path -> Spill.file path
-            | Options.Spill_drop | Options.No_spill -> Spill.null)
-        in
-        match run_streaming { ctx with c_stream_mode = true } ~window ~sink circuit with
-        | Error msg -> Unplaceable msg
-        | Ok summary ->
-          let stats, snapshot = finalize_metrics ctx in
-          Placed
-            {
-              env;
-              source = circuit;
-              options;
-              adjacency;
-              stages = [];
-              spilled = Some summary;
-              stats;
-              metrics = snapshot;
-            })
-      | None | Some _ -> (
-      let split_result =
+      (* The in-memory path splits up front (optionally rebalancing the
+         boundaries) and collects the placed stages through its sink. *)
+      let split () =
         match options.Options.window with
         | None ->
           Result.map
             (fun subs -> (subs, None))
-            (in_phase ctx.c_phases.ph_split ~name:"placer/split" (fun () ->
+            (in_phase ctx rm.rm_split ~name:"placer/split" (fun () ->
                  Workspace.split ~oracle_calls:ctx.c_oracle ~adjacency circuit))
         | Some window ->
           Result.map
             (fun stages ->
-              List.iter
-                (fun (sub, _) ->
-                  observe_scale ctx "placer.scale.window_fill"
-                    (float_of_int (Circuit.gate_count sub)))
-                stages;
-              ( List.map fst stages,
-                Some (Array.of_list (List.map snd stages)) ))
-            (in_phase ctx.c_phases.ph_split ~name:"placer/window-split"
-               (fun () ->
+              (List.map fst stages, Some (Array.of_list (List.map snd stages))))
+            (in_phase ctx rm.rm_split ~name:"placer/window-split" (fun () ->
                  Workspace.split_windowed ~oracle_calls:ctx.c_oracle ~window
                    ~adjacency circuit))
       in
-      match split_result with
+      (* Boundary refinement assumes list-order splitting; the windowed
+         stream has its own boundary policy and per-stage hints that a
+         donation would invalidate. *)
+      let balance (subcircuits, hints) =
+        if
+          options.Options.balance_boundaries
+          && Option.is_none hints
+          && List.length subcircuits > 1
+        then
+          in_phase ctx rm.rm_balance ~name:"placer/balance" (fun () ->
+              list_source (balance_boundaries ctx subcircuits))
+        else list_source ?hints subcircuits
+      in
+      let stages = ref [] in
+      let source, sink =
+        match spill_to with
+        | Some (window, sink) ->
+          ( Ok
+              (fun stage ->
+                Workspace.fold_windowed ~oracle_calls:ctx.c_oracle ~window
+                  ~adjacency ~init:()
+                  ~stage:(fun () (subcircuit, witness) -> stage subcircuit witness)
+                  circuit),
+            sink )
+        | None ->
+          ( Result.map balance (split ()),
+            Spill.callback (function
+              | Spill.Network { network; _ } ->
+                stages := Permute network :: !stages
+              | Spill.Stage { placement; circuit; _ } ->
+                stages := Compute { placement; circuit } :: !stages) )
+      in
+      match Result.bind source (drive ctx ~sink) with
       | Error msg -> Unplaceable msg
-      | Ok (subcircuits, hints) -> (
-        let subcircuits =
-          (* Boundary refinement assumes list-order splitting; the windowed
-             stream has its own boundary policy and per-stage hints that a
-             donation would invalidate. *)
-          if
-            options.Options.balance_boundaries
-            && Option.is_none hints
-            && List.length subcircuits > 1
-          then
-            in_phase ctx.c_phases.ph_balance ~name:"placer/balance" (fun () ->
-                balance_boundaries ctx subcircuits)
-          else subcircuits
+      | Ok summary ->
+        let stages = List.rev !stages in
+        let stages =
+          if options.Options.vcycle > 0 && Option.is_none spill_to then
+            vcycle_refine ctx stages
+          else stages
         in
-        match run_pipeline ?hints ctx subcircuits with
-        | Error msg -> Unplaceable msg
-        | Ok (stage_list, _) ->
-          let stage_list =
-            if options.Options.vcycle > 0 then vcycle_refine ctx stage_list
-            else stage_list
-          in
-          let stats, snapshot = finalize_metrics ctx in
-          Placed
-            {
-              env;
-              source = circuit;
-              options;
-              adjacency;
-              stages = stage_list;
-              spilled = None;
-              stats;
-              metrics = snapshot;
-            })))
+        let stats, snapshot = finalize_metrics ctx in
+        Placed
+          {
+            env;
+            source = circuit;
+            options;
+            adjacency;
+            stages;
+            spilled = Option.map (fun _ -> summary) spill_to;
+            stats;
+            metrics = snapshot;
+          })
 
 (* Jobs run as pool tasks, so their internal parallel layers (scoring
    sweeps, enumeration, subtree routing) serialize via the pool's nested-use
@@ -1714,25 +1662,10 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
    the same {!Score_cache} per-graph registry entry (mutex-protected route
    tables and bisection memo). *)
 let place_batch ?(jobs = 0) ?(deadline_of = fun _ -> infinity) specs =
-  let arr = Array.of_list specs in
-  let total = Array.length arr in
-  if jobs <= 1 || total <= 1 then
-    List.mapi
-      (fun i (options, env, circuit) ->
-        place ~deadline:(deadline_of i) options env circuit)
-      specs
-  else begin
-    let out = Array.make total None in
-    Qcp_util.Task_pool.parallel_for
-      (Qcp_util.Task_pool.get ())
-      ~jobs
-      ~body:(fun ~worker:_ i ->
-        let options, env, circuit = arr.(i) in
-        out.(i) <- Some (place ~deadline:(deadline_of i) options env circuit))
-      total;
-    Array.to_list
-      (Array.map (function Some o -> o | None -> assert false) out)
-  end
+  Qcp_util.Task_pool.map_list (Qcp_util.Task_pool.get ()) ~jobs
+    (fun i (options, env, circuit) ->
+      place ~deadline:(deadline_of i) options env circuit)
+    specs
 
 let stage_circuits program =
   let m = Environment.size program.env in

@@ -143,10 +143,7 @@ type program = {
       (** Search-effort counters, a compatibility view over {!metrics}:
           both read the same per-run {!Qcp_obs.Metrics} registry. *)
   metrics : Qcp_obs.Metrics.snapshot;
-      (** The run's full telemetry registry snapshot: every [stats] field
-          under a ["placer.*"] name, plus per-phase wall-second gauges
-          ([placer.phase.<split|enumerate|greedy|lookahead|fine_tune|route|balance>.seconds]).
-          Also merged into {!Qcp_obs.Metrics.global} when the run ends. *)
+      (** The run's full telemetry registry snapshot; see {!metrics}. *)
 }
 
 type outcome =
@@ -163,17 +160,23 @@ val place :
   Qcp_env.Environment.t ->
   Qcp_circuit.Circuit.t ->
   outcome
-(** [place options env circuit] runs the full pipeline.
+(** [place options env circuit] runs the full pipeline.  One stage driver
+    places every run: a stage source feeds it subcircuits in order, it
+    places each with a one-stage lag (depth-2 lookahead reads the
+    successor), and it emits the placed stages into a {!Spill.sink}.  The
+    in-memory path splits the circuit first ({!Workspace.split}, or
+    {!Workspace.split_windowed} under [options.window]), optionally
+    rebalances the boundaries, and collects the emitted stages into
+    [stages].
 
     [spill] (or [options.spill <> No_spill]) arms spill mode on a windowed
     run ([options.window = Some _]; without a window the knob is ignored —
-    a classic split has already materialized everything): stages stream
-    out of {!Workspace.fold_windowed} straight through {!place} into the
-    sink with a one-stage lag (depth-2 lookahead reads the successor), and
-    the returned program carries a {!summary} instead of stages.  Placed
-    stages and the reported makespan are bit-identical to the same
-    windowed run without spilling.  An explicit [?spill] sink takes
-    precedence over the options knob.
+    a classic split has already materialized everything): the driver's
+    source is {!Workspace.fold_windowed} itself, so stages stream straight
+    into the caller's sink, and the returned program carries the driver's
+    {!summary} instead of stages.  Placed stages and the reported makespan
+    are bit-identical to the same windowed run without spilling.  An
+    explicit [?spill] sink takes precedence over the options knob.
 
     [deadline] (absolute {!Qcp_util.Clock} instant, default [infinity]) is
     an anytime cutoff checked between stages: once it passes, the run
@@ -264,15 +267,25 @@ val to_physical_circuit : program -> Qcp_circuit.Circuit.t
     stages inlined as SWAP gates). *)
 
 val metrics : program -> Qcp_obs.Metrics.snapshot
-(** The [metrics] field, for callers that prefer an accessor. *)
+(** The run's per-run telemetry registry, snapshotted when the run ends
+    (sorted by name).  It always holds every [stats] counter under a
+    ["placer.*"] name and the ["placer.scoring.seconds"] gauge; scale
+    instruments ([placer.scale.*]) appear when the run used them.  While
+    {!Qcp_obs.Metrics.enabled} or {!Qcp_obs.Trace.enabled} holds, it also
+    holds one wall-second gauge per pipeline phase
+    ([placer.phase.<split|enumerate|greedy|lookahead|fine_tune|route|balance>.seconds]);
+    each phase adds its time straight into its gauge.  With telemetry
+    off the phase clocks do not run and those names are absent.  The
+    snapshot is also merged into {!Qcp_obs.Metrics.global} when metrics
+    are armed. *)
 
 val phase_seconds : program -> (string * float) list
 (** Wall seconds per pipeline phase, from the snapshot's phase gauges:
-    [("split", s); ("enumerate", s); ...] in snapshot (alphabetical)
+    [("balance", s); ("enumerate", s); ...] in snapshot (alphabetical)
     order.  Trial pipelines run by boundary balancing count toward
     ["balance"] only.  The phase clocks only run while
     {!Qcp_obs.Metrics.enabled} or {!Qcp_obs.Trace.enabled} — with
-    telemetry off every gauge reads 0. *)
+    telemetry off the list is empty. *)
 
 val pp : Format.formatter -> program -> unit
 (** Human-readable stage listing with nucleus names. *)

@@ -191,63 +191,57 @@ let run ?jobs ?(share = true) options env circuit =
       | Some budget -> Clock.deadline_after budget
     in
     let shared = Incumbent.make infinity in
-    let arr = Array.of_list strategies in
-    let total = Array.length arr in
-    let verdicts = Array.make total None in
-    let walls = Array.make total 0.0 in
-    Task_pool.parallel_for (Task_pool.get ())
-      ~jobs:(Int.min jobs total)
-      ~body:(fun ~worker:_ i ->
-        let s = arr.(i) in
-        (* Private cell under [~share:false]: the strategy still publishes
-           and prunes, but only against itself — the ablation isolates
-           exactly the cross-strategy effect. *)
-        let cell = if share then shared else Incumbent.make infinity in
-        (* The anchor ignores the deadline so a race always produces a
-           placement, even with a zero budget. *)
-        let deadline = if i = 0 then infinity else deadline in
-        let effort =
-          if options.Options.portfolio_learn then
-            Learn.effort env circuit ~arity:total s.Strategy.name
-          else 1.0
-        in
-        let t0 = Clock.now () in
-        let verdict =
-          Qcp_obs.Trace.with_span ~cat:"portfolio"
-            ("portfolio/" ^ s.Strategy.name) (fun () ->
-              s.Strategy.solve ~deadline ~shared:cell ~effort options env
-                circuit)
-        in
-        walls.(i) <- Clock.now () -. t0;
-        verdicts.(i) <- Some verdict)
-      total;
-    let verdicts = Array.map Option.get verdicts in
+    let total = List.length strategies in
+    let results =
+      Task_pool.map_list (Task_pool.get ()) ~jobs:(Int.min jobs total)
+        (fun i s ->
+          (* Private cell under [~share:false]: the strategy still publishes
+             and prunes, but only against itself — the ablation isolates
+             exactly the cross-strategy effect. *)
+          let cell = if share then shared else Incumbent.make infinity in
+          (* The anchor ignores the deadline so a race always produces a
+             placement, even with a zero budget. *)
+          let deadline = if i = 0 then infinity else deadline in
+          let effort =
+            if options.Options.portfolio_learn then
+              Learn.effort env circuit ~arity:total s.Strategy.name
+            else 1.0
+          in
+          let t0 = Clock.now () in
+          let verdict =
+            Qcp_obs.Trace.with_span ~cat:"portfolio"
+              ("portfolio/" ^ s.Strategy.name) (fun () ->
+                s.Strategy.solve ~deadline ~shared:cell ~effort options env
+                  circuit)
+          in
+          (s.Strategy.name, verdict, Clock.now () -. t0))
+        strategies
+    in
     (* Earliest strict minimum over completed strategies in canonical
        order — the only reduce under which the winner is schedule-free:
        completed programs are bit-identical to their solo runs, and a
        pruned strategy's final runtime provably exceeds some published
        (achieved) value, so it could neither win nor tie. *)
     let best = ref None in
-    Array.iteri
-      (fun i v ->
+    List.iter
+      (fun (name, v, _) ->
         match v.Strategy.result with
         | Strategy.Complete (program, runtime) -> (
           match !best with
           | Some (_, _, best_runtime) when runtime >= best_runtime -> ()
-          | _ -> best := Some (i, program, runtime))
+          | _ -> best := Some (name, program, runtime))
         | Strategy.Pruned | Strategy.Expired | Strategy.Infeasible _ -> ())
-      verdicts;
+      results;
     let entries =
-      Array.to_list
-        (Array.mapi
-           (fun i v ->
-             {
-               strategy = arr.(i).Strategy.name;
-               status = status_of_result v.Strategy.result;
-               wall_seconds = walls.(i);
-               peer_prunes = v.Strategy.peer_prunes;
-             })
-           verdicts)
+      List.map
+        (fun (strategy, v, wall_seconds) ->
+          {
+            strategy;
+            status = status_of_result v.Strategy.result;
+            wall_seconds;
+            peer_prunes = v.Strategy.peer_prunes;
+          })
+        results
     in
     (match !best with
     | None ->
@@ -262,8 +256,7 @@ let run ?jobs ?(share = true) options env circuit =
         | None -> "every strategy aborted"
       in
       Error (Printf.sprintf "portfolio: no strategy completed (%s)" detail)
-    | Some (i, program, runtime) ->
-      let winner = arr.(i).Strategy.name in
+    | Some (winner, program, runtime) ->
       if Telemetry.enabled () then begin
         Telemetry.incr (Telemetry.counter Telemetry.global "portfolio.races");
         Telemetry.incr
@@ -285,21 +278,15 @@ let place ?jobs options env circuit =
   | Ok report -> Placer.Placed report.program
   | Error msg -> Placer.Unplaceable msg
 
-let place_batch ?(jobs = 0) specs =
-  let arr = Array.of_list specs in
-  let total = Array.length arr in
-  if jobs <= 1 || total <= 1 then
-    List.map (fun (options, env, circuit) -> place options env circuit) specs
-  else begin
-    let out = Array.make total None in
-    Task_pool.parallel_for (Task_pool.get ()) ~jobs
-      ~body:(fun ~worker:_ i ->
-        let options, env, circuit = arr.(i) in
-        out.(i) <- Some (place options env circuit))
-      total;
-    Array.to_list
-      (Array.map (function Some o -> o | None -> assert false) out)
-  end
+(* The one batch entry point: {!Placer.place}'s per-job deadline for
+   classic specs, a race for portfolio specs (whose budget lives in
+   [options.deadline]). *)
+let place_batch ?(jobs = 0) ?(deadline_of = fun _ -> infinity) specs =
+  Task_pool.map_list (Task_pool.get ()) ~jobs
+    (fun i (options, env, circuit) ->
+      if options.Options.portfolio then place options env circuit
+      else Placer.place ~deadline:(deadline_of i) options env circuit)
+    specs
 
 let pp_status ppf = function
   | Completed runtime -> Format.fprintf ppf "completed (runtime %.1f)" runtime

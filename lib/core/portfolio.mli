@@ -84,12 +84,18 @@ val place :
 
 val place_batch :
   ?jobs:int ->
+  ?deadline_of:(int -> float) ->
   (Options.t * Qcp_env.Environment.t * Qcp_circuit.Circuit.t) list ->
   Placer.outcome list
-(** Batch counterpart of {!place} with {!Placer.place_batch}'s contract:
-    outcomes in input order, bit-identical to sequential {!place} calls
-    (each job's inner race serializes when the outer fan-out saturates the
-    pool). *)
+(** The batch entry point for a mix of classic and portfolio jobs, with
+    {!Placer.place_batch}'s contract: jobs map over the shared pool with
+    at most [jobs] domains ([0], the default, runs sequentially), and
+    outcomes come back in input order, bit-identical to calling each job's
+    engine in turn.  A spec with [options.portfolio] set is raced through
+    {!place} (its budget is [options.deadline]); any other spec runs
+    {!Placer.place} with [deadline_of i] (default [infinity]) as its
+    absolute deadline.  Each job's inner parallel layers serialize when
+    the outer fan-out saturates the pool. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable race table: winner, runtime, gap, then one line per

@@ -62,6 +62,8 @@ let gauge t name =
 
 let set g v = Mutex.protect g.g_lock (fun () -> g.g_value <- v)
 
+let accumulate g v = Mutex.protect g.g_lock (fun () -> g.g_value <- g.g_value +. v)
+
 let gauge_value g = Mutex.protect g.g_lock (fun () -> g.g_value)
 
 let default_time_bounds =

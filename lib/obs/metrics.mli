@@ -56,6 +56,9 @@ val gauge : t -> string -> gauge
 
 val set : gauge -> float -> unit
 
+val accumulate : gauge -> float -> unit
+(** [accumulate g v] adds [v] to the gauge's value (one locked update). *)
+
 val gauge_value : gauge -> float
 
 val default_time_bounds : float array

@@ -11,7 +11,7 @@ val table2 : ?jobs:int -> ?phases:bool -> ?portfolio:bool -> unit -> string
 (** Mapping experimentally constructed circuits into their environments:
     circuit, environment, estimated runtime, search-space size.  [jobs]
     (default {!Qcp_util.Task_pool.env_jobs}) maps the rows over the shared
-    pool via {!Qcp.Placer.place_batch}; the rendered text is byte-identical
+    pool via {!Qcp.Portfolio.place_batch}; the rendered text is byte-identical
     at any value. *)
 
 val table3 :
@@ -24,7 +24,7 @@ val table3 :
 (** The Threshold sweep over molecules and circuits; cells are
     "runtime (subcircuits)" or N/A.  [monomorphism_limit] defaults to the
     paper's 100.  [jobs] as in {!table2}: all cells of all sections form
-    one {!Qcp.Placer.place_batch} job list. *)
+    one {!Qcp.Portfolio.place_batch} job list. *)
 
 val table4 :
   ?full:bool ->

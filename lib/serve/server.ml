@@ -257,40 +257,19 @@ module Engine = struct
       Trace.start ~capacity:4096 ();
       trace_abs := Clock.now ()
     end;
-    (* Classic requests solve in one placer batch with per-job absolute
-       deadlines, portfolio requests in one portfolio batch (their budget
-       lives in [options.deadline]). *)
-    let outcomes = Array.make (Array.length unique) (Placer.Unplaceable "") in
-    let classic = ref [] and races = ref [] in
-    Array.iteri
-      (fun u j ->
-        if j.j_place.Protocol.options.Options.portfolio then
-          races := (u, j) :: !races
-        else classic := (u, j) :: !classic)
-      unique;
-    let classic = List.rev !classic and races = List.rev !races in
-    let spec j =
-      ( j.j_place.Protocol.options,
-        j.j_place.Protocol.env,
-        j.j_place.Protocol.circuit )
+    (* One batch for every miss: classic requests with per-job absolute
+       deadlines, portfolio requests raced (their budget lives in
+       [options.deadline]). *)
+    let outcomes =
+      Qcp.Portfolio.place_batch ~jobs:t.config.jobs
+        ~deadline_of:(fun u -> budget t.config unique.(u))
+        (List.map
+           (fun j ->
+             let p = j.j_place in
+             (p.Protocol.options, p.Protocol.env, p.Protocol.circuit))
+           (Array.to_list unique))
+      |> Array.of_list
     in
-    let budgets =
-      Array.of_list (List.map (fun (_, j) -> budget t.config j) classic)
-    in
-    let classic_outcomes =
-      Placer.place_batch ~jobs:t.config.jobs
-        ~deadline_of:(fun i -> budgets.(i))
-        (List.map (fun (_, j) -> spec j) classic)
-    in
-    List.iter2 (fun (u, _) o -> outcomes.(u) <- o) classic classic_outcomes;
-    let race_outcomes =
-      match races with
-      | [] -> []
-      | _ ->
-        Qcp.Portfolio.place_batch ~jobs:t.config.jobs
-          (List.map (fun (_, j) -> spec j) races)
-    in
-    List.iter2 (fun (u, _) o -> outcomes.(u) <- o) races race_outcomes;
     let t_solve = Clock.now () in
     let spans =
       if capture then begin

@@ -276,6 +276,15 @@ let map_reduce (type a) pool ~jobs ~map ~combine ~(init : a) total =
     !acc
   end
 
+let map_list pool ~jobs f xs =
+  let inputs = Array.of_list xs in
+  let total = Array.length inputs in
+  let out = Array.make total None in
+  parallel_for pool ~jobs
+    ~body:(fun ~worker:_ i -> out.(i) <- Some (f i inputs.(i)))
+    total;
+  Array.to_list (Array.map Option.get out)
+
 (* Run [g] inline if no helper claimed it yet, else wait for the claimant. *)
 let settle_single s =
   if Atomic.compare_and_set s.s_claim 0 1 then s.s_run ()

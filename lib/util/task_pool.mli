@@ -77,6 +77,11 @@ val map_reduce :
     the caller in index order.  The result is a pure function of the input
     order regardless of steal interleaving (assuming [map] is pure). *)
 
+val map_list : t -> jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
+(** [map_list pool ~jobs f xs] is [List.mapi f xs] with the calls spread
+    over at most [jobs] domains as in {!parallel_for}; results come back
+    in input order.  With [jobs <= 1] the calls run inline, in order. *)
+
 val both : t -> jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [both pool ~jobs f g] evaluates [f ()] and [g ()], possibly in
     parallel, and returns both results.  [g] is published for a helper to

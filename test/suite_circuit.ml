@@ -293,7 +293,12 @@ let test_qc_format_errors () =
   expect_error "qubits 2\nfrobnicate 0";
   expect_error "qubits 2\nry x 90";
   expect_error "qubits 1\ncnot 0 1";
-  expect_error ""
+  expect_error "";
+  (* A two-qubit gate on one qubit is an error of its line, not an
+     [Invalid_argument] escaping the parser. *)
+  List.iter
+    (fun line -> expect_error ("qubits 3\n" ^ line))
+    [ "cnot 1 1"; "zz 2 2 90"; "cphase 0 0 45"; "swap 1 1"; "u2 g 1 2 2" ]
 
 let test_sub_and_append () =
   let c = Catalog.qft 4 in

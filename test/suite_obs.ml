@@ -1,9 +1,9 @@
 (* The telemetry layer's contract: spans merge deterministically across
    pool domains, restarting invalidates the previous epoch, histogram
    bucket math is exact, the Chrome-trace exporter round-trips through a
-   minimal reader, deprecated aliases warn exactly once with pinned text,
-   and — the load-bearing invariant — placements are bit-identical with
-   telemetry on and off. *)
+   minimal reader, the per-phase gauges appear exactly when telemetry is
+   armed, and — the load-bearing invariant — placements are bit-identical
+   with telemetry on and off. *)
 
 module Trace = Qcp_obs.Trace
 module Metrics = Qcp_obs.Metrics
@@ -286,24 +286,47 @@ let test_bit_identity_10_seeds () =
       done)
 
 (* ------------------------------------------------------------------ *)
-(* Deprecated alias warnings                                            *)
+(* Phase accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_deprecation_warning () =
-  Alcotest.(check string) "pinned message text"
-    "warning: --parallel is deprecated and will be removed; use --jobs (or \
-     QCP_JOBS) instead"
-    (Qcp.Options.deprecation_message ~alias:"--parallel");
-  let buf = Buffer.create 128 in
-  let ppf = Format.formatter_of_buffer buf in
-  let first = Qcp.Options.warn_deprecated ~ppf "--obs-test-alias" in
-  let second = Qcp.Options.warn_deprecated ~ppf "--obs-test-alias" in
-  Format.pp_print_flush ppf ();
-  Alcotest.(check bool) "first call warns" true first;
-  Alcotest.(check bool) "second call is silent" false second;
-  Alcotest.(check string) "exactly one warning line"
-    (Qcp.Options.deprecation_message ~alias:"--obs-test-alias" ^ "\n")
-    (Buffer.contents buf)
+let phase_names =
+  [ "balance"; "enumerate"; "fine_tune"; "greedy"; "lookahead"; "route"; "split" ]
+
+(* A boundary-balanced placement with several stages, run in a fresh
+   domain so the per-domain run registry carries no earlier run's
+   instruments. *)
+let balanced_placement ~armed =
+  let circuit = Option.get (Qcp_circuit.Catalog.by_name "aqft9") in
+  let options =
+    { (Qcp.Options.default ~threshold:100.0) with
+      Qcp.Options.balance_boundaries = true }
+  in
+  Domain.join
+    (Domain.spawn (fun () ->
+         Metrics.set_enabled armed;
+         Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+         match Placer.place options Qcp_env.Molecules.histidine circuit with
+         | Placer.Placed p -> p
+         | Placer.Unplaceable msg -> Alcotest.failf "unplaceable: %s" msg))
+
+let test_phase_accounting () =
+  let is_phase (name, _) = String.starts_with ~prefix:"placer.phase." name in
+  let has_scoring p =
+    Option.is_some (Metrics.find (Placer.metrics p) "placer.scoring.seconds")
+  in
+  let armed = balanced_placement ~armed:true in
+  Alcotest.(check bool) "several stages" true (Placer.subcircuit_count armed > 1);
+  let phases = Placer.phase_seconds armed in
+  Alcotest.(check (list string)) "armed: all seven phases" phase_names
+    (List.map fst phases);
+  Alcotest.(check bool) "armed: balance > 0" true (List.assoc "balance" phases > 0.0);
+  Alcotest.(check bool) "armed: scoring gauge" true (has_scoring armed);
+  let off = balanced_placement ~armed:false in
+  Alcotest.(check (list string)) "off: no phase gauges" []
+    (List.map fst (List.filter is_phase (Placer.metrics off)));
+  Alcotest.(check int) "off: empty breakdown" 0
+    (List.length (Placer.phase_seconds off));
+  Alcotest.(check bool) "off: scoring gauge" true (has_scoring off)
 
 let suite =
   [
@@ -318,5 +341,6 @@ let suite =
       test_trace_json_round_trip;
     Alcotest.test_case "bit identity over 10 seeds" `Slow
       test_bit_identity_10_seeds;
-    Alcotest.test_case "deprecation warning" `Quick test_deprecation_warning;
+    Alcotest.test_case "phase accounting armed and off" `Quick
+      test_phase_accounting;
   ]

@@ -234,43 +234,53 @@ let test_single_strategy_degenerates () =
       [ "greedy"; "lookahead"; "boundary" ]
   done
 
-(* [Portfolio.place_batch] outcomes must equal per-spec [place] calls, in
-   order, at any batch jobs value. *)
+(* [Portfolio.place_batch] outcomes must equal per-spec engine calls, in
+   order, at any batch jobs value: a race for a portfolio spec,
+   [Placer.place] for a classic one — including a batch mixing both. *)
 let test_place_batch_identical () =
-  let specs =
-    List.map
-      (fun seed ->
-        let env, threshold, circuit = instance (400 + seed) in
-        ( portfolio_options ~seed ~strategies:(strategies_for seed) ~jobs:0
-            threshold,
-          env,
-          circuit ))
-      [ 1; 2; 3; 4 ]
+  let spec ~portfolio seed =
+    let env, threshold, circuit = instance (400 + seed) in
+    ( { (portfolio_options ~seed ~strategies:(strategies_for seed) ~jobs:0
+           threshold)
+        with
+        Options.portfolio },
+      env,
+      circuit )
   in
-  let sequential =
-    List.map (fun (o, e, c) -> Portfolio.place o e c) specs
+  let check ~input specs ~jobs batch =
+    let sequential =
+      List.map
+        (fun (o, e, c) ->
+          if o.Options.portfolio then Portfolio.place o e c
+          else Placer.place o e c)
+        specs
+    in
+    List.iter
+      (fun batch_jobs ->
+        List.iteri
+          (fun i (reference, outcome) ->
+            let label what =
+              Printf.sprintf "%s, jobs %d, spec %d: %s" input batch_jobs i what
+            in
+            match (reference, outcome) with
+            | Placer.Placed a, Placer.Placed b ->
+              Alcotest.(check bool) (label "identical") true
+                (a.Placer.stages = b.Placer.stages)
+            | Placer.Unplaceable a, Placer.Unplaceable b ->
+              Alcotest.(check string) (label "same failure") a b
+            | _ -> Alcotest.fail (label "placeability disagrees"))
+          (List.combine sequential (batch ~jobs:batch_jobs specs)))
+      jobs
   in
-  List.iter
-    (fun batch_jobs ->
-      let batch = Portfolio.place_batch ~jobs:batch_jobs specs in
-      List.iteri
-        (fun i (reference, outcome) ->
-          match (reference, outcome) with
-          | Placer.Placed a, Placer.Placed b ->
-            Alcotest.(check bool)
-              (Printf.sprintf "jobs %d, spec %d: identical" batch_jobs i)
-              true
-              (a.Placer.stages = b.Placer.stages)
-          | Placer.Unplaceable a, Placer.Unplaceable b ->
-            Alcotest.(check string)
-              (Printf.sprintf "jobs %d, spec %d: same failure" batch_jobs i)
-              a b
-          | _ ->
-            Alcotest.fail
-              (Printf.sprintf "jobs %d, spec %d: placeability disagrees"
-                 batch_jobs i))
-        (List.combine sequential batch))
-    [ 0; 3 ]
+  check ~input:"portfolio"
+    (List.map (spec ~portfolio:true) [ 1; 2; 3; 4 ])
+    ~jobs:[ 0; 3 ]
+    (fun ~jobs specs -> Portfolio.place_batch ~jobs specs);
+  check ~input:"mixed"
+    (List.map (fun seed -> spec ~portfolio:(seed mod 2 = 1) seed) [ 1; 2; 3; 4; 5; 6 ])
+    ~jobs:[ 0; 2 ]
+    (fun ~jobs specs ->
+      Portfolio.place_batch ~jobs ~deadline_of:(fun _ -> infinity) specs)
 
 let test_strategy_resolution () =
   (match Strategy.resolve [ "lookahead"; "greedy"; "greedy" ] with

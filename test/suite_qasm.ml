@@ -68,7 +68,11 @@ let test_parse_errors () =
   expect "qreg q[2];\nfrobnicate q[0];";
   expect "qreg q[2];\nrx q[0];";
   expect "qreg q[2];\ncx q[0];";
-  expect "qreg q[2];\nh p[0];"
+  expect "qreg q[2];\nh p[0];";
+  List.iter
+    (fun stmt -> expect ("qreg q[3];\n" ^ stmt))
+    [ "cx q[1],q[1];"; "cz q[2],q[2];"; "cp(pi/4) q[0],q[0];"; "swap q[1],q[1];";
+      "rzz(pi) q[2],q[2];" ]
 
 let test_print_parse_roundtrip () =
   List.iter

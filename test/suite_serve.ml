@@ -413,6 +413,10 @@ let test_timeout_response () =
       (member_exn "status" ok = Json.Str "ok")
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
 
+let equal_qubit_line =
+  "{\"id\":\"x\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qubits \
+   3\\ncnot 1 1\\n\",\"options\":{\"threshold\":100}}"
+
 let test_request_validation () =
   let eng = engine ~jobs:0 () in
   let expect_error line needle =
@@ -436,6 +440,9 @@ let test_request_validation () =
   expect_error
     "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{\"typo\":1}}"
     "unknown option";
+  (* A two-qubit gate on one qubit used to escape the circuit parser as
+     [Invalid_argument] and kill the daemon. *)
+  expect_error equal_qubit_line "line 2";
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
@@ -543,6 +550,24 @@ let generator_spec_lines =
     [ "grid:100000:100000"; "chain:99999999999999999999"; "grid:-1:5"; "chain:0";
       "grid:4611686018427387903:2"; "grid:2:2:2"; "chain:" ]
 
+(* Inline .qc documents whose last gate line is mutated: equal, negative
+   or out-of-range qubits, missing or non-numeric angles, unknown
+   mnemonics. *)
+let mutated_circuit_lines =
+  let open QCheck.Gen in
+  let gate =
+    oneofl [ "cnot"; "zz"; "cphase"; "swap"; "u2 g 1"; "rx"; "h"; "frob" ]
+  in
+  let qubit = oneofl [ "0"; "1"; "2"; "3"; "-1"; "x" ] in
+  let angle = oneofl [ ""; " 90"; " -45.5"; " x" ] in
+  map
+    (fun (g, (a, b, rest)) ->
+      Printf.sprintf
+        "{\"id\":\"x\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qubits \
+         3\\ncnot 0 1\\n%s %s %s%s\\n\",\"options\":{\"threshold\":100}}"
+        g a b rest)
+    (pair gate (triple qubit qubit angle))
+
 (* [Engine.parse_line] — the memoized path the daemon runs on every
    line — answers any input with an envelope; it never raises. *)
 let qcheck_parse_line_total =
@@ -560,6 +585,7 @@ let qcheck_parse_line_total =
         pick truncations;
         pick wrong_type_lines;
         pick generator_spec_lines;
+        mutated_circuit_lines;
       ]
   in
   QCheck.Test.make ~name:"Engine.parse_line answers every line with an envelope"
@@ -603,6 +629,12 @@ let test_socket_roundtrip () =
   with_daemon "smoke" Server.default_config @@ fun client ->
   let ping = Client.request client "{\"id\":\"p\",\"op\":\"ping\"}" in
   Alcotest.(check bool) "ping ok" true
+    (member_exn "status" ping = Json.Str "ok");
+  let bad = Client.request client equal_qubit_line in
+  Alcotest.(check bool) "equal-qubit gate: error envelope" true
+    (member_exn "status" bad = Json.Str "error");
+  let ping = Client.request client "{\"id\":\"p\",\"op\":\"ping\"}" in
+  Alcotest.(check bool) "ping ok after the error" true
     (member_exn "status" ping = Json.Str "ok");
   let cold = Client.request client line_qft6 in
   let hit = Client.request client line_qft6 in
